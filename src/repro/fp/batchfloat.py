@@ -1,16 +1,23 @@
-"""Vectorized batch softfloat: whole-array trap-storm emulation.
+"""The batch FP entry point: whole-array trap-storm and block emulation.
 
-NumPy integer-array kernels that, for a batch of same-form operands,
-compute result bit patterns and all six IEEE condition flags in one
-pass -- bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including
+:func:`execute_batch` is the single batch path of the machine, used by
+both the storm driver (:mod:`repro.machine.storm`) and the masked block
+engine (:mod:`repro.machine.blockexec`).  For a batch of same-form
+operands it computes result bit patterns and all six IEEE condition
+flags -- bit-equivalent to :class:`repro.fp.softfloat.SoftFPU` including
 NaN payload propagation, signed zeros, subnormals, all four rounding
-modes, and DAZ/FTZ.  This is the emulate half of the storm fast path
-(:mod:`repro.machine.storm`): PR 2's fusion cut the *delivery* cost of
-an Inexact storm, but each event still paid a scalar softfloat walk (and
-a memo probe with a measured 0% hit rate on real numeric streams).  Here
-the whole operand stream becomes a handful of int64 array ops.
+modes, and DAZ/FTZ -- in three steps:
 
-Design notes (the equivalence arguments live in DESIGN.md #11):
+1. the error-free-transformation certifier
+   (:func:`repro.fp.vectorfast.vector_execute`) runs over every lane;
+   certified lanes (mid-range normal operands and results) get the host
+   result, ``flags = PE or 0`` and ``tiny = False``;
+2. only the uncertified lanes, compressed, run through the NumPy
+   integer-array kernels below;
+3. their results are scattered back.
+
+Design notes for the integer kernels (the equivalence arguments live in
+DESIGN.md #11):
 
 * Everything is int64 component arithmetic on (sign, mant, exp)
   decompositions; no host-FPU rounding is ever architecturally visible.
@@ -23,13 +30,11 @@ Design notes (the equivalence arguments live in DESIGN.md #11):
 * mul64 splits 53-bit mantissas into 26/27-bit limbs and rounds the
   106-bit product via the sticky parameter; mul32/div32/sqrt32 products,
   quotients and roots fit int64 exactly.
-* div64/sqrt64 use the host FPU *only* to propose a round-to-nearest
-  candidate inside a certified mid-range exponent window; the exactly
-  representable residual (classical division/sqrt residual theorems)
-  gives the inexact flag and the directed-mode +-1ulp correction.
-  Out-of-window lanes fall back to the scalar oracle per lane.
-* fma64 has no int64-exact path and is delegated to the scalar oracle
-  (no catalogue form needs it: every FMA form is binary32).
+* div64/sqrt64 have no int64-exact path: the kernels resolve the special
+  classes (NaN, infinity, zero, negative root) and route finite lanes
+  the certifier rejected to the scalar oracle per lane.
+* FMA is binary32 only: the catalogue has no binary64 FMA form, and
+  :func:`batch_covered` rejects one.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fp import vectorfast
 from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
@@ -51,7 +57,7 @@ IE, DE, ZE, OE, UE, PE = 1, 2, 4, 8, 16, 32
 
 _FPU = SoftFPU()
 
-#: Kinds the batch kernels cover (bit-exactly; a kernel may route
+#: Kinds the batch entry point covers (bit-exactly; a kernel may route
 #: individual lanes through the scalar oracle internally).
 BATCH_KINDS: frozenset[OpKind] = frozenset(
     {
@@ -69,18 +75,13 @@ BATCH_KINDS: frozenset[OpKind] = frozenset(
     }
 )
 
-#: Host-EFT certification window for div64/sqrt64 (biased exponent field
-#: of every operand must lie strictly inside).  Inside it the candidate,
-#: its +-1ulp neighbours, and the two_prod error terms are all normal,
-#: so the residual sign is exact.  div shares vectorfast's window.
-_DIV64_WIN = (523, 1523)
-_SQRT64_WIN = (300, 1800)
-
+#: ``fallback_lanes`` counts the lanes the EFT certifier left to the
+#: integer kernels (and, through them, the scalar oracle).
 _STATS = {"batches": 0, "lanes": 0, "fallback_lanes": 0}
 
 
 def batch_stats() -> dict:
-    """Counters for the demotion/fallback story (surfaced in benchmarks)."""
+    """Counters for the certify/fallback story (surfaced in benchmarks)."""
     return dict(_STATS)
 
 
@@ -91,6 +92,8 @@ def reset_batch_stats() -> None:
 
 def batch_covered(form: InstructionForm) -> bool:
     """True when :func:`execute_batch` handles this form bit-exactly."""
+    if form.kind in _FMA_NEGATE:
+        return form.fmt is BINARY32
     return form.kind in BATCH_KINDS and form.fmt in (BINARY32, BINARY64)
 
 
@@ -101,7 +104,7 @@ class BatchResult:
     ``bits`` are uint64 result patterns (low ``width`` bits significant),
     ``flags`` int64 flag bits per lane, ``tiny`` the pre-rounding
     tininess indicator (the unmasked-UE corner), ``fallback_lanes`` how
-    many lanes the vector kernels delegated to the scalar oracle.
+    many lanes the EFT certifier left to the integer kernels.
     """
 
     bits: np.ndarray
@@ -488,43 +491,6 @@ def _mul_kernel(F, A, B, ctx):
     return bits, flags, tiny, fallback
 
 
-def _two_prod(x, y):
-    """Dekker two_prod; exact in the certified windows."""
-    p = x * y
-    split = 134217729.0  # 2**27 + 1
-    xh = x * split
-    xh = xh - (xh - x)
-    xl = x - xh
-    yh = y * split
-    yh = yh - (yh - y)
-    yl = y - yh
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    return p, e
-
-
-def _directed_adjust(q_u, pos, inexact, rmode):
-    """+-1ulp correction of an RN candidate for directed modes.
-
-    ``pos`` = true value above the candidate.  Valid only where
-    neighbours cannot cross zero/inf/subnormal boundaries (the windows
-    guarantee that).  Returns adjusted uint64 bits.
-    """
-    qi = q_u.astype(_I)
-    q_neg = qi < 0
-    up = np.where(q_neg, _I(-1), _I(1))      # next_up = bits + up
-    if rmode == RoundingMode.NEAREST:
-        adj = _I(0)
-    elif rmode == RoundingMode.UP:
-        adj = np.where(pos, up, _I(0))
-    elif rmode == RoundingMode.DOWN:
-        adj = np.where(pos, _I(0), -up)
-    else:  # ZERO: floor for positive, ceil for negative
-        adj = np.where(
-            q_neg, np.where(pos, up, _I(0)), np.where(pos, _I(0), -up)
-        )
-    return (qi + np.where(inexact, adj, _I(0))).astype(_U)
-
-
 def _div_kernel(F, A, B, ctx):
     de = np.where(A.de | B.de, _I(DE), _I(0))
     sign = A.sign ^ B.sign
@@ -543,27 +509,9 @@ def _div_kernel(F, A, B, ctx):
         )
         fallback = np.zeros(n, np.bool_)
     else:
-        lo, hi = _DIV64_WIN
-        win = (
-            live
-            & (A.expf > lo) & (A.expf < hi)
-            & (B.expf > lo) & (B.expf < hi)
-        )
-        fa = A.u.view(np.float64)
-        fb = B.u.view(np.float64)
-        fb_safe = np.where(win, fb, 1.0)
-        fa_safe = np.where(win, fa, 1.0)
-        q = fa_safe / fb_safe
-        p, e = _two_prod(q, fb_safe)
-        r = (fa_safe - p) - e
-        inexact = r != 0.0
-        pos = (r > 0.0) != (fb_safe < 0.0)
-        bits = _directed_adjust(q.view(_U), pos, inexact, ctx.rmode)
-        rflags = np.where(inexact, _I(PE), _I(0))
-        tiny = np.zeros(n, np.bool_)
-        fallback = live & ~win
-        bits = np.where(win, bits, _U(0))
-        rflags = np.where(win, rflags, _I(0))
+        # No int64-exact binary64 path: finite lanes go to the oracle.
+        bits, rflags = np.zeros(n, _U), np.zeros(n, _I)
+        tiny, fallback = np.zeros(n, np.bool_), live
     flags = de | rflags
 
     a_inf, b_inf = A.inf, B.inf
@@ -614,20 +562,9 @@ def _sqrt_kernel(F, A, ctx):
         )
         fallback = np.zeros(n, np.bool_)
     else:
-        lo, hi = _SQRT64_WIN
-        win = live & (A.expf > lo) & (A.expf < hi)
-        fa = np.where(win, A.u.view(np.float64), 1.0)
-        r = np.sqrt(fa)
-        p, e = _two_prod(r, r)
-        d = (fa - p) - e
-        inexact = d != 0.0
-        pos = d > 0.0
-        bits = _directed_adjust(r.view(_U), pos, inexact, ctx.rmode)
-        rflags = np.where(inexact, _I(PE), _I(0))
-        tiny = np.zeros(n, np.bool_)
-        fallback = live & ~win
-        bits = np.where(win, bits, _U(0))
-        rflags = np.where(win, rflags, _I(0))
+        # No int64-exact binary64 path: finite lanes go to the oracle.
+        bits, rflags = np.zeros(n, _U), np.zeros(n, _I)
+        tiny, fallback = np.zeros(n, np.bool_), live
     flags = de | rflags
 
     bits = np.where(A.zero, _zero_u(F, sign), bits)
@@ -775,32 +712,34 @@ def execute_batch(
     """Execute one batch: ``operands[i]`` is the uint64 bit-pattern array
     for operand position ``i`` (all the same length = total lane count).
 
-    Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``.
+    Bit-equivalent to running :class:`SoftFPU` per lane under ``ctx``:
+    the EFT certifier settles every lane it can, and only the rest run
+    through the integer kernels.
     """
     kind, fmt = form.kind, form.fmt
     if not batch_covered(form):
         raise NotImplementedError(f"batchfloat does not cover {form}")
-    F = _Fmt.of(fmt)
     n = operands[0].shape[0]
+    bits, pe, certified = vectorfast.vector_execute(
+        kind, operands, ctx.rmode, fmt
+    )
+    flags = pe.astype(_I) * _I(PE)
+    tiny = np.zeros(n, np.bool_)
+    idx = np.flatnonzero(~certified)
+    if idx.size:
+        sub = tuple(o[idx] for o in operands)
+        bits[idx], flags[idx], tiny[idx] = _exact_batch(
+            kind, _Fmt.of(fmt), sub, ctx
+        )
+    _STATS["batches"] += 1
+    _STATS["lanes"] += n
+    _STATS["fallback_lanes"] += idx.size
+    return BatchResult(bits, flags, tiny, fallback_lanes=int(idx.size))
 
-    if kind in _FMA_NEGATE and fmt.width == 64:
-        # No int64-exact fma64 path; whole batch through the oracle.
-        bits = np.empty(n, _U)
-        flags = np.empty(n, _I)
-        tiny = np.empty(n, np.bool_)
-        neg_p, neg_c = _FMA_NEGATE[kind]
-        cols = [o.tolist() for o in operands]
-        for i in range(n):
-            r = _FPU.fma(
-                fmt, cols[0][i], cols[1][i], cols[2][i], ctx,
-                negate_product=neg_p, negate_c=neg_c,
-            )
-            bits[i], flags[i], tiny[i] = r.bits, int(r.flags), r.tiny
-        _STATS["batches"] += 1
-        _STATS["lanes"] += n
-        _STATS["fallback_lanes"] += n
-        return BatchResult(bits, flags, tiny, fallback_lanes=n)
 
+def _exact_batch(kind, F: _Fmt, operands, ctx):
+    """The integer kernels (plus their per-lane scalar-oracle fallback)
+    over every lane of ``operands``; returns ``(bits, flags, tiny)``."""
     with np.errstate(all="ignore"):
         cls = tuple(_classify_batch(F, o, ctx.daz) for o in operands)
         if kind is OpKind.ADD:
@@ -821,18 +760,10 @@ def execute_batch(
             neg_p, neg_c = _FMA_NEGATE[kind]
             out = _fma_kernel(F, cls[0], cls[1], cls[2], ctx, neg_p, neg_c)
     bits, flags, tiny, fallback = out
-
-    nfall = 0
-    if fallback.any():
-        idx = np.nonzero(fallback)[0]
-        nfall = len(idx)
-        for i in idx:
-            lane = tuple(int(o[i]) for o in operands)
-            r = _scalar_lane(kind, fmt, lane, ctx)
-            bits[i] = r.bits
-            flags[i] = int(r.flags)
-            tiny[i] = r.tiny
-    _STATS["batches"] += 1
-    _STATS["lanes"] += n
-    _STATS["fallback_lanes"] += nfall
-    return BatchResult(bits, flags, tiny, fallback_lanes=nfall)
+    for i in np.flatnonzero(fallback).tolist():
+        lane = tuple(int(o[i]) for o in operands)
+        r = _scalar_lane(kind, F.fmt, lane, ctx)
+        bits[i] = r.bits
+        flags[i] = int(r.flags)
+        tiny[i] = r.tiny
+    return bits, flags, tiny

@@ -18,14 +18,13 @@ a documented limitation (DESIGN.md decision #10), harmless in practice
 because distinct fault sites almost always differ in payload, sign, or
 magnitude.
 
-Coverage is complete despite the vectorized fast path: certified
-vector lanes can neither consume nor produce NaN/Inf/denorm values
-(the :mod:`repro.fp.vectorfast` operand window excludes non-normals and
-``_safe_result`` bounds every result away from overflow/underflow), so
-hooks on the scalar paths -- ``_exec_fp`` retirement, block scalar
-substeps, uncertified-lane recomputation, and handler-emulated
-writebacks -- observe every operation that can touch an exceptional
-value.
+Coverage is complete despite the batched fast paths: hooks on the
+scalar paths -- ``_exec_fp`` retirement, block scalar substeps, and
+handler-emulated writebacks -- observe every operation, and batched
+commits observe every group whose operands or results carry a
+NaN/Inf/denorm bit pattern (:func:`repro.fp.batchfloat.special_lane_mask`
+or the storm's window pre-scan), which are the only operations that can
+touch an exceptional value.
 """
 
 from __future__ import annotations

@@ -64,8 +64,8 @@ class FPBlock(GuestOp):
     block form merely licenses the CPU to batch the work when the task is
     quiescent (see :mod:`repro.machine.blockexec`).
 
-    Operand storage is dual: forms covered by a vectorized engine (the
-    binary64 EFT kernels or the batch softfloat) carry one padded
+    Operand storage is dual: forms the batch FP entry point covers
+    (:func:`repro.fp.batchfloat.batch_covered`) carry one padded
     ``uint64`` array per operand position (``arrays``), everything else a
     per-group tuple structure (``groups``).  The cursor fields record
     partial progress so a fault, trap, or timer can interrupt the block
@@ -77,10 +77,10 @@ class FPBlock(GuestOp):
     n_elements: int  #: real (unpadded) elements across all groups
     interleave: int = 0  #: integer instructions after each FP instruction
     #: One uint64 bit-pattern array per operand position, padded to
-    #: ``n_groups * lanes`` elements (vector-engine-covered forms only).
+    #: ``n_groups * lanes`` elements (batch-covered forms only).
     arrays: tuple[np.ndarray, ...] | None = None
     #: Per-group lane-input tuples, shaped like ``FPInstruction.inputs``
-    #: (non-vectorizable forms only).
+    #: (forms outside the batch entry point only).
     groups: tuple[tuple[tuple[int, ...], ...], ...] | None = None
 
     # -- execution cursor (owned by the machine) ----------------------------
@@ -108,7 +108,7 @@ class FPBlock(GuestOp):
         lanes = form.lanes
         n = len(operand_streams[0])
         n_groups = -(-n // lanes)
-        if form.block_vectorizable or batch_covered(form):
+        if batch_covered(form):
             total = n_groups * lanes
             arrays = []
             for stream in operand_streams:

@@ -43,24 +43,6 @@ class OpKind(enum.Enum):
     CVT_F2I_TRUNC = "cvt_f2i_trunc"  #: float -> integer, truncating
 
 
-#: Kinds the block execution engine can run through the vectorized
-#: error-free-transformation kernels (:mod:`repro.fp.vectorfast`).  The
-#: remaining kinds either need sequential semantics (DP), produce
-#: non-float results (compares, converts), or lack a certified EFT (FMA,
-#: ROUND); blocks of those execute group-at-a-time through the scalar
-#: softfloat instead.
-VECTORIZABLE_KINDS: frozenset[OpKind] = frozenset(
-    {
-        OpKind.ADD,
-        OpKind.SUB,
-        OpKind.MUL,
-        OpKind.DIV,
-        OpKind.SQRT,
-        OpKind.MIN,
-        OpKind.MAX,
-    }
-)
-
 #: Operand count per kind (per lane).
 _ARITY: dict[OpKind, int] = {
     OpKind.ADD: 2,
@@ -121,16 +103,6 @@ class InstructionForm:
     @property
     def is_scalar(self) -> bool:
         return self.lanes == 1
-
-    @property
-    def block_vectorizable(self) -> bool:
-        """True when the vectorized EFT kernels cover this form.
-
-        The vector fast path (like ``fp/fastpath.py``) certifies binary64
-        only; binary32 forms fall back to scalar group execution inside a
-        block.
-        """
-        return self.kind in VECTORIZABLE_KINDS and self.fmt is BINARY64
 
     def __str__(self) -> str:  # pragma: no cover - repr sugar
         return self.mnemonic

@@ -7,13 +7,12 @@ indistinguishable (DESIGN.md decision #6).  Two regimes:
 **Quiescent fast path.**  When the task is quiescent -- every exception
 masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding mode -- no FP
 instruction in the block can fault or trap, so a chunk of groups can be
-committed as a batch: results via the vectorized error-free
-transformations of :mod:`repro.fp.vectorfast` (scalar softfloat for the
-lanes they cannot certify, which is sound because sticky-flag OR is
-commutative and nothing can observe intermediate state mid-chunk) or,
-for forms the EFTs do not cover, the exact batch softfloat kernels of
-:mod:`repro.fp.batchfloat`; one
-sticky-flag OR into ``%mxcsr``, one cycle charge, one vtime advance.  The
+committed as a batch: results via the batch FP entry point
+:func:`repro.fp.batchfloat.execute_batch` (error-free transformations
+certify the common lanes, exact integer kernels cover the rest), one
+sticky-flag OR into ``%mxcsr``, one cycle charge, one vtime advance.
+This is sound because sticky-flag OR is commutative and nothing can
+observe intermediate state mid-chunk.  The
 chunk is capped by the scheduler quantum and by the vtimer/real-timer
 budgets exactly as ``CPU._exec_int`` caps integer runs, so ``SIGVTALRM``
 and ``SIGALRM`` land on the precise instruction the per-instruction
@@ -37,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fp import batchfloat, provenance as _prov_mod, vectorfast
+from repro.fp import batchfloat, provenance as _prov_mod
 from repro.machine import storm
 from repro.fp.flags import Flag, highest_priority
 from repro.guest.ops import FPBlock
@@ -122,41 +121,13 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
     start = block.index
     flags = Flag.NONE
 
-    if block.arrays is not None and form.block_vectorizable:
-        lo, hi = start * lanes, (start + k) * lanes
-        ops = [a[lo:hi] for a in block.arrays]
-        bits, pe, certified = vectorfast.vector_execute(
-            form.kind, ops, task.mxcsr.context().rmode
-        )
-        if pe.any():
-            flags |= Flag.PE
-        out = bits.tolist()
-        if not certified.all():
-            # Specials / subnormals / boundary magnitudes: recompute those
-            # groups through the scalar softfloat.  They cannot fault (all
-            # exceptions are masked in the quiescent state) and flag OR is
-            # commutative, so batching order is unobservable.
-            uncert = ~certified.reshape(k, lanes)
-            for gi in np.nonzero(uncert.any(axis=1))[0]:
-                g = start + int(gi)
-                outcome = cpu.execute_site(task, block.site, block.group(g))
-                flags |= outcome.flags
-                out[gi * lanes:(gi + 1) * lanes] = outcome.results
-                if cpu._prov is not None:
-                    # Certified lanes can neither consume nor produce
-                    # exceptional values (the vectorfast operand window),
-                    # so observing only these recomputed groups still
-                    # sees every NaN/Inf/denorm in the chunk.
-                    take = block.take(g)
-                    cpu._prov.observe(
-                        task, block.site, block.group(g)[:take],
-                        outcome.results[:take], outcome.flags,
-                    )
-    elif block.arrays is not None:
-        # Batch-softfloat path: forms the EFT kernels cannot certify
-        # (binary32, FMA) but whose full masked semantics -- results,
-        # all six condition codes, NaN payloads, subnormals -- the
-        # integer-array kernels compute exactly for every lane.
+    if block.arrays is not None:
+        # One batch through the FP entry point: EFT-certified lanes plus
+        # the integer kernels for the rest give the full masked
+        # semantics -- results, all six condition codes, NaN payloads,
+        # subnormals -- for every lane.  Nothing can fault in the
+        # quiescent state and flag OR is commutative, so batching order
+        # is unobservable.
         lo, hi = start * lanes, (start + k) * lanes
         ops = tuple(a[lo:hi] for a in block.arrays)
         res = batchfloat.execute_batch(form, ops, task.mxcsr.context())

@@ -143,7 +143,7 @@ bits32 = st.one_of(
 def test_non_vectorizable_forms_use_group_path_equivalently(
     mnemonic, data, n, capture
 ):
-    """binary32 forms take FPBlock's tuple-group storage; same contract."""
+    """binary32 forms batch through the EFT-first entry point; same contract."""
     streams = [
         data.draw(st.lists(bits32, min_size=n, max_size=n)) for _ in range(2)
     ]
