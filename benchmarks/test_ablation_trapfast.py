@@ -128,7 +128,7 @@ def test_trapfast_speedup_individual_mode(benchmark):
             "mean_batch_groups": round(stats["groups"] / stats["batches"], 1),
             "storm_bailouts": dict(stats["bailouts"]),
             "bailout_rate": round(bailouts / (bailouts + stats["groups"]), 4),
-            "softfloat_memo": memo_stats(),
+            "outcome_memo": memo_stats(),
         },
         gates={
             "speedup": {"min": MIN_SPEEDUP},

@@ -1,6 +1,6 @@
-"""Campaign scaling: pool sweep, adaptive fallback, memo A/B, saturation.
+"""Campaign scaling: pool sweep, adaptive fallback, saturation.
 
-Four honest measurements of ``repro.campaign`` (DESIGN.md decisions #9
+Three honest measurements of ``repro.campaign`` (DESIGN.md decisions #9
 and #13), published together to ``BENCH_campaign.json``:
 
 * **Forced-pool worker sweep** -- the full figure-suite campaign (27
@@ -13,13 +13,10 @@ and #13), published together to ``BENCH_campaign.json``:
   in-process) must be at least ``MIN_FALLBACK_RATIO`` of the forced
   1-worker pool path.  A 1-core container thus publishes an honest
   "fallback won" number instead of a vacuous speedup pass.
-* **Memo A/B** -- the campaign run cold with a fresh persistent memo
-  cache, then rerun warm.  The warm report must stay byte-identical
-  (the cache is architecturally invisible) and the ratio is recorded.
 * **Saturation** -- sustained submission throughput (runs/sec) through a
   :class:`~repro.campaign.daemon.CampaignDaemon`: distinct jobs queued
-  back-to-back so pool spawn and memo warm-start amortize across the
-  whole burst, the regime the daemon exists for.
+  back-to-back so pool spawn amortizes across the whole burst, the
+  regime the daemon exists for.
 """
 
 import json
@@ -82,9 +79,8 @@ def _merge_results(
     write_results(RESULTS_JSON, existing, gates=existing_gates)
 
 
-def test_campaign_scaling_and_memo(benchmark, tmp_path):
+def test_campaign_scaling(benchmark, tmp_path):
     campaign = figbench_campaign(scale=CAMPAIGN_SCALE, seed=BENCH_SEED)
-    memo = tmp_path / "memo.sqlite"
 
     def sweep():
         timings = {}
@@ -112,39 +108,20 @@ def test_campaign_scaling_and_memo(benchmark, tmp_path):
             auto_ss.append(time.perf_counter() - t0)
             assert not auto.failed
         auto_s, pool1_s = min(auto_ss), min(pool1_ss)
-        # The A/B runs single-worker so the memo effect is isolated from
-        # sharding (every worker pays its own warm-start load).
-        t0 = time.perf_counter()
-        cold = run_campaign(campaign, workers=1, memo_path=memo)
-        cold_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = run_campaign(campaign, workers=1, memo_path=memo)
-        warm_s = time.perf_counter() - t0
-        return (timings, reports, auto, auto_s, pool1_s,
-                cold, cold_s, warm, warm_s)
+        return timings, reports, auto, auto_s, pool1_s
 
-    (timings, reports, auto, auto_s, pool1_s, cold, cold_s, warm,
-     warm_s) = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    timings, reports, auto, auto_s, pool1_s = benchmark.pedantic(
+        sweep, rounds=1, iterations=1)
 
     # The determinism contract: one report, any worker count, any
-    # execution mode, cache or no cache.
+    # execution mode.
     for w in WORKER_COUNTS[1:]:
         assert reports[w] == reports[1], f"report at {w} workers diverged"
     assert auto.report_text == reports[1]
-    assert cold.report_text == reports[1]
-    assert warm.report_text == cold.report_text
-
-    # The warm rerun must actually start from the published cache.
-    warm_workers = warm.host["memo"]["per_worker"].values()
-    assert warm_workers and all(
-        info["memo_status"] == "ok" and info["warm_loaded"] > 0
-        for info in warm_workers
-    )
 
     host_cpus = os.cpu_count() or 1
     speedup_4w = round(timings[1] / timings[4], 2)
     fallback_ratio = round(pool1_s / auto_s, 2)
-    warm_ratio = round(cold_s / warm_s, 2)
     _merge_results(
         keep_prefix="saturation_",
         payload={
@@ -160,11 +137,6 @@ def test_campaign_scaling_and_memo(benchmark, tmp_path):
             "auto_s": round(auto_s, 4),
             "fallback_pool1_s": round(pool1_s, 4),
             "fallback_ratio": fallback_ratio,
-            "memo_cold_s": round(cold_s, 4),
-            "memo_warm_s": round(warm_s, 4),
-            "memo_warm_ratio": warm_ratio,
-            "memo_published_entries": (
-                cold.host["memo"]["published_entries"]),
         },
         gates=(
             {"speedup_4w": {"min": MIN_SPEEDUP_4W}} if host_cpus >= 4

@@ -43,7 +43,8 @@ class SimApp(GuestProgram):
         self.rng = random.Random(f"{self.name}:{seed}")
         # hashlib, not hash(): builtin str hashing is salted per process
         # (PYTHONHASHSEED), which would give every worker process its own
-        # operand stream and silently defeat the cross-run memo cache.
+        # operand stream, so the same run spec would leave different
+        # traces depending on which process executed it.
         digest = hashlib.sha256(f"{self.name}:{seed}".encode()).digest()
         self.nprng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
         self._build_sites()

@@ -2,8 +2,8 @@
 
 ``python -m repro.study serve`` keeps a :class:`CampaignDaemon` alive so
 that campaign cost amortizes across *submissions*, not just across the
-runs of one campaign: the worker pool spawns once, warm-starts its
-softfloat memo once, and then serves every job the daemon ever accepts.
+runs of one campaign: the worker pool spawns once and then serves every
+job the daemon ever accepts.
 Clients submit campaign specs over a tiny HTTP API, poll job status,
 and fetch results; identical submissions are deduplicated by spec hash
 and their artifacts stored content-addressed
@@ -15,7 +15,8 @@ threads, but jobs execute **serially** on one scheduler thread -- the
 pool is single-campaign-at-a-time by design, and run-level parallelism
 already saturates the host.  Admission control therefore bounds the
 *queue*, not the executor: a full queue returns 503, a submitter over
-their pending quota returns 429.
+their pending quota returns 429.  Request bodies are bounded too: a
+POST body over :data:`MAX_BODY_BYTES` gets 413 without being read.
 
 Everything here is stdlib (``http.server``, ``threading``, ``urllib``)
 -- the daemon must work in the same no-new-dependencies environment as
@@ -39,6 +40,9 @@ from repro.campaign.spec import CampaignSpec, build_campaign
 MAX_QUEUE = 64
 #: Per-submitter pending bound: beyond this, that submitter gets 429.
 MAX_PENDING_PER_SUBMITTER = 4
+#: Largest POST body the HTTP API reads; beyond this, 413.  A campaign
+#: spec is a few bytes per run, so this leaves room for ~10k-run specs.
+MAX_BODY_BYTES = 1 << 20
 
 
 class AdmissionError(RuntimeError):
@@ -64,7 +68,6 @@ class CampaignDaemon:
         self,
         data_dir: str | os.PathLike,
         workers: int | None = None,
-        memo_path: str | os.PathLike | None = None,
         max_queue: int = MAX_QUEUE,
         max_pending_per_submitter: int = MAX_PENDING_PER_SUBMITTER,
         autostart: bool = True,
@@ -72,15 +75,6 @@ class CampaignDaemon:
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.workers = workers
-        # Default memo inside the data dir: every job the daemon ever
-        # serves shares one cache, which is the whole point of serving.
-        # ``memo_path="off"`` disables the cache entirely.
-        if memo_path == "off":
-            self.memo_path = None
-        elif memo_path:
-            self.memo_path = os.fspath(memo_path)
-        else:
-            self.memo_path = os.path.join(self.data_dir, "memo.sqlite")
         self.store = ArtifactStore(os.path.join(self.data_dir, "store"))
         self.max_queue = max_queue
         self.max_pending_per_submitter = max_pending_per_submitter
@@ -378,20 +372,17 @@ class CampaignDaemon:
             # the first job's planned width would permanently cap every
             # later, wider job at that accident of arrival order.
             width = self.workers or os.cpu_count() or 1
-            self._pool = WorkerPool(
-                max(plan_workers, width),
-                memo_path=self.memo_path).start()
+            self._pool = WorkerPool(max(plan_workers, width)).start()
         return self._pool
 
     def _run_job(self, job: dict) -> None:
         out_dir = self._job_dir(job["id"])
         runner = CampaignRunner(
-            job["campaign"], workers=self.workers,
-            memo_path=self.memo_path, out_dir=out_dir)
+            job["campaign"], workers=self.workers, out_dir=out_dir)
         plan = runner.plan()
         if plan.mode == "pool":
-            # Jobs borrow the daemon's standing pool: spawn and memo
-            # warm-start amortize across every pool-mode job served.
+            # Jobs borrow the daemon's standing pool: spawn cost
+            # amortizes across every pool-mode job served.
             runner = CampaignRunner(
                 job["campaign"], workers=self.workers,
                 out_dir=out_dir, execution="pool",
@@ -451,13 +442,46 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
         def log_message(self, *args):  # quiet by default
             pass
 
-        def _reply(self, code: int, obj: object) -> None:
+        def _reply(self, code: int, obj: object, close: bool = False) -> None:
             body = json.dumps(obj, indent=2).encode() + b"\n"
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                # The request body was left unread, so this connection
+                # cannot carry another request (also sets close_connection).
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+
+        def _json_body(self) -> dict | None:
+            """The POST body as a JSON object, or None after a 4xx reply.
+
+            The length is checked before anything is read: a missing,
+            non-integer or negative ``Content-Length`` is 400, and one
+            over :data:`MAX_BODY_BYTES` is 413.
+            """
+            try:
+                length = int(self.headers.get("Content-Length"))
+            except (TypeError, ValueError):
+                length = -1
+            if length < 0:
+                self._reply(400, {"error": "Content-Length must be a "
+                                           "non-negative integer"}, close=True)
+                return None
+            if length > MAX_BODY_BYTES:
+                self._reply(413, {"error": f"body over {MAX_BODY_BYTES} "
+                                           "bytes"}, close=True)
+                return None
+            try:
+                body = json.loads(self.rfile.read(length).decode() or "{}")
+            except ValueError:
+                self._reply(400, {"error": "body is not JSON"})
+                return None
+            if not isinstance(body, dict):
+                self._reply(400, {"error": "body is not a JSON object"})
+                return None
+            return body
 
         def _query(self) -> tuple[str, dict]:
             from urllib.parse import parse_qs, urlparse
@@ -509,12 +533,8 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
         def do_POST(self) -> None:  # noqa: N802
             path, _q = self._query()
             daemon.record_request(path)
-            length = int(self.headers.get("Content-Length") or 0)
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                body = json.loads(raw.decode() or "{}")
-            except ValueError:
-                self._reply(400, {"error": "body is not JSON"})
+            body = self._json_body()
+            if body is None:
                 return
             if path == "/submit":
                 try:

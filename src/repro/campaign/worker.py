@@ -5,9 +5,9 @@ campaign strategy -- the warm worker pool's batch loop
 (:mod:`repro.campaign.pool`), the adaptive in-process fallback in the
 coordinator, and direct use from tests and notebooks.  Each run gets a
 **fresh** :class:`~repro.kernel.kernel.Kernel` (no simulated state
-crosses runs -- only the host-side softfloat memo, which is
-architecturally invisible), and returns a compact, picklable
-:class:`RunOutcome`.
+crosses runs -- only the host process's in-memory outcome memo in
+:mod:`repro.isa.semantics`, which is architecturally invisible), and
+returns a compact, picklable :class:`RunOutcome`.
 
 Exceptions escaping a run are deliberately left to propagate: the pool
 worker treats them as poisoning its interpreter (crash message, exit,

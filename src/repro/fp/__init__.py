@@ -37,7 +37,6 @@ from repro.fp.formats import (
     bits32_to_float,
 )
 from repro.fp.rounding import RoundingMode
-from repro.fp.memo import MemoSoftFPU
 from repro.fp.mxcsr import MXCSR
 from repro.fp.softfloat import FPContext, SoftFPU, OpResult
 
@@ -54,7 +53,6 @@ __all__ = [
     "float_to_bits32",
     "bits32_to_float",
     "RoundingMode",
-    "MemoSoftFPU",
     "MXCSR",
     "FPContext",
     "SoftFPU",

@@ -6,15 +6,14 @@ condition codes together, exactly as the paper describes for vector
 instructions ("the condition value generated is an *or* of the condition
 values generated by the elementwise operations", section 3.2).
 
-``form_executor`` is the trap-storm fast path's entry point: it returns a
+``form_executor`` is the trap fast path's entry point: it returns a
 per-form closure that memoizes whole :class:`ExecutionOutcome` objects
-keyed on ``(operand bits, FPContext)``, backed by the op-level
-:class:`repro.fp.memo.MemoSoftFPU` for misses.  Individual-mode
-monitoring executes every faulting instruction twice -- once to fault,
-once single-stepped under the handler's masked context -- and hot loops
-recycle operand values, so both levels hit constantly.  Outcomes are
-frozen and contexts capture every control input, so sharing them is
-unobservable.
+keyed on ``(operand bits, FPContext)``.  Individual-mode monitoring
+executes every faulting instruction twice -- once to fault, once
+single-stepped under the handler's masked context -- so the replay is a
+dict probe.  Outcomes are frozen and contexts capture every control
+input, so sharing them is unobservable.  The memo lives in this process
+only; nothing about it persists across runs.
 """
 
 from __future__ import annotations
@@ -24,25 +23,13 @@ from typing import Callable
 
 from repro.fp.fastpath import FastSoftFPU
 from repro.fp.flags import Flag
-from repro.fp.memo import MemoSoftFPU
-from repro.fp.softfloat import FPContext, SoftFPU
+from repro.fp.softfloat import FPContext
 from repro.isa.forms import InstructionForm, OpKind
 
 # The fast path is property-tested bit-equivalent to the canonical
 # SoftFPU (tests/property/test_fastpath_props.py) and ~2-5x faster,
 # which directly scales the whole simulator.
 _FPU = FastSoftFPU()
-
-#: Op-level memo backing the per-form executors (trap replay / hot loops).
-_MEMO_FPU = MemoSoftFPU()
-
-#: Forms demoted from the op-level memo.  The storm measurements showed
-#: scientific operand streams essentially never repeat at the op level
-#: (``op_hits: 0`` across full campaigns), so for every form the batch
-#: kernels cover the executor's miss path skips MemoSoftFPU entirely --
-#: no dict probe, no insert -- and runs the plain FastSoftFPU.  Scalar
-#: one-off forms (converts, compares, dot products) keep the memo.
-_BATCH_DEMOTED: set[InstructionForm] = set()
 
 
 @dataclass(frozen=True)
@@ -72,15 +59,7 @@ def execute_form(
     ctx: FPContext,
 ) -> ExecutionOutcome:
     """Execute all lanes of ``form`` on ``inputs`` under ``ctx``."""
-    return _execute(form, inputs, ctx, _FPU)
-
-
-def _execute(
-    form: InstructionForm,
-    inputs: tuple[tuple[int, ...], ...],
-    ctx: FPContext,
-    fpu: SoftFPU,
-) -> ExecutionOutcome:
+    fpu = _FPU
     kind = form.kind
     fmt = form.fmt
     results: list[int] = []
@@ -173,6 +152,9 @@ _EXECUTORS: dict[InstructionForm, Callable] = {}
 #: keeping worst-case memory trivially bounded.
 _OUTCOME_CAP = 4096
 
+#: Process-wide outcome-memo lookups over every executor: [hits, misses].
+_LOOKUPS = [0, 0]
+
 
 def form_executor(
     form: InstructionForm,
@@ -181,7 +163,10 @@ def form_executor(
 
     Bit-identical to :func:`execute_form` -- outcomes are pure functions
     of the key, and the returned objects are frozen -- but repeat
-    executions (trap replay, hot loop bodies) are one dict probe.
+    executions (trap replay, hot loop bodies) are one dict probe.  The
+    closure carries a one-element ``memo_hit`` list cell, updated on
+    every call, which the flight recorder reads to stamp its emulate
+    span.
     """
     executor = _EXECUTORS.get(form)
     if executor is None:
@@ -190,78 +175,23 @@ def form_executor(
     return executor
 
 
-def _miss_fpu(form: InstructionForm) -> SoftFPU:
-    """The FPU backing outcome-memo misses for ``form``.
-
-    Batch-covered forms are demoted from the op-level memo: their
-    operand streams are exactly the ones measured not to repeat, so the
-    memo insert is a pure dict-churn tax on the storm hot path.
-    """
-    # Imported here: batchfloat pulls in the forms catalogue, whose
-    # package __init__ imports this module (executor build is cold).
-    from repro.fp.batchfloat import batch_covered
-
-    if batch_covered(form):
-        _BATCH_DEMOTED.add(form)
-        return _FPU
-    return _MEMO_FPU
-
-
 def _build_executor(form: InstructionForm) -> Callable:
     memo: dict = {}
-    fpu = _miss_fpu(form)
-
-    def run(inputs, ctx):
-        key = (inputs, ctx)
-        out = memo.get(key)
-        if out is None:
-            if len(memo) >= _OUTCOME_CAP:
-                memo.pop(next(iter(memo)))
-            out = _execute(form, inputs, ctx, fpu)
-            memo[key] = out
-        return out
-
-    return run
-
-
-#: Traced-variant intern table.  Kept apart from :data:`_EXECUTORS` so a
-#: tracing kernel never touches (or slows) the plain closures -- the
-#: flight recorder's disabled path stays byte-for-byte the PR 2 code.
-_TRACED_EXECUTORS: dict[InstructionForm, Callable] = {}
-
-
-def traced_form_executor(
-    form: InstructionForm,
-) -> Callable[[tuple[tuple[int, ...], ...], FPContext], ExecutionOutcome]:
-    """Like :func:`form_executor`, plus memo-hit visibility.
-
-    The returned closure carries a one-element ``memo_hit`` list cell,
-    updated on every call, which the flight recorder reads to stamp its
-    emulate span.  Outcomes are the same frozen pure values, so results
-    stay bit-identical to the untraced executor.
-    """
-    executor = _TRACED_EXECUTORS.get(form)
-    if executor is None:
-        executor = _build_traced_executor(form)
-        _TRACED_EXECUTORS[form] = executor
-    return executor
-
-
-def _build_traced_executor(form: InstructionForm) -> Callable:
-    memo: dict = {}
     hit_cell = [False]
-    fpu = _miss_fpu(form)
+    lookups = _LOOKUPS
 
     def run(inputs, ctx):
         key = (inputs, ctx)
         out = memo.get(key)
         if out is None:
+            lookups[1] += 1
             hit_cell[0] = False
             if len(memo) >= _OUTCOME_CAP:
                 memo.pop(next(iter(memo)))
-            out = _execute(form, inputs, ctx, fpu)
+            out = execute_form(form, inputs, ctx)
             memo[key] = out
         else:
+            lookups[0] += 1
             hit_cell[0] = True
         return out
 
@@ -270,61 +200,13 @@ def _build_traced_executor(form: InstructionForm) -> Callable:
 
 
 def memo_stats() -> dict[str, int]:
-    """Cache counters for the ablation benchmark's report."""
+    """Outcome-memo counters: lookups that hit and missed, and forms seen.
+
+    The ``op_`` key names predate the outcome memo being the only one;
+    readers (telemetry, the benchmark harness) key on them.
+    """
     return {
-        "op_hits": _MEMO_FPU.hits,
-        "op_misses": _MEMO_FPU.misses,
-        "op_evictions": _MEMO_FPU.evictions,
-        "op_occupancy": _MEMO_FPU.occupancy,
-        "op_capacity": _MEMO_FPU.capacity,
-        "op_warm_loaded": _MEMO_FPU.warm_loaded,
-        "op_warm_hits": _MEMO_FPU.warm_hits,
+        "op_hits": _LOOKUPS[0],
+        "op_misses": _LOOKUPS[1],
         "forms_interned": len(_EXECUTORS),
-        "batch_demoted_forms": len(_BATCH_DEMOTED),
     }
-
-
-def memo_fpu() -> MemoSoftFPU:
-    """The process-global op-level memo (campaign warm-start target)."""
-    return _MEMO_FPU
-
-
-def warm_start_memo(path) -> "object":
-    """Warm-start the global memo from a persistent cache file.
-
-    Returns the :class:`repro.fp.memodisk.LoadReport`; on any problem
-    with the file (absent, stale schema, corrupt) the memo simply stays
-    cold and the report's ``status`` says why.
-    """
-    from repro.fp.memodisk import load_cache
-
-    report = load_cache(path, limit=_MEMO_FPU.capacity)
-    # A new warm-start target resets the delta baseline: resident
-    # entries warm-started from some *earlier* file must still publish
-    # to this one (the file being absent/corrupt means everything the
-    # process knows is fresh news to it).
-    _MEMO_FPU.reset_warm()
-    if report.entries:
-        _MEMO_FPU.load_entries(report.entries)
-    return report
-
-
-def warm_start_from_snapshot(path) -> "object":
-    """Warm-start the global memo from a flattened snapshot blob.
-
-    The warm worker pool's once-per-worker-lifetime load path (one blob
-    read instead of a per-campaign sqlite walk); same never-raises
-    contract as :func:`warm_start_memo`.
-    """
-    from repro.fp.memodisk import load_snapshot
-
-    report = load_snapshot(path, limit=_MEMO_FPU.capacity)
-    _MEMO_FPU.reset_warm()  # same baseline contract as warm_start_memo
-    if report.entries:
-        _MEMO_FPU.load_entries(report.entries)
-    return report
-
-
-def export_memo_delta() -> dict:
-    """Entries this process computed beyond its warm start (publishable)."""
-    return _MEMO_FPU.export_delta()

@@ -177,9 +177,9 @@ class Kernel:
         sc.gauge("processes", lambda: len(self.processes))
         sc.gauge("runq", lambda: len(self._runq))
 
-        # The softfloat memo layer is module-global (shared by every
-        # kernel in the host process); its counters are pulled, never
-        # pushed, so exposing it here costs nothing at execution time.
+        # The outcome memo is module-global (shared by every kernel in
+        # the host process); its counters are pulled, never pushed, so
+        # exposing it here costs nothing at execution time.
         from repro.isa.semantics import memo_stats
 
         self.telemetry.scope("fp.memo").gauge("", memo_stats)

@@ -27,7 +27,7 @@ from repro.fp.flags import Flag, highest_priority
 from repro.guest.ops import FPBlock, IntWork, LibcCall
 from repro.isa.instruction import FPInstruction
 from repro.machine import blockexec
-from repro.isa.semantics import execute_form, form_executor, traced_form_executor
+from repro.isa.semantics import execute_form, form_executor
 from repro.kernel.signals import (
     EFLAGS_TF,
     FATAL_BY_DEFAULT,
@@ -140,16 +140,10 @@ class CPU:
         #: quiescence entry/exit transition counters.
         self._blk_mode: dict[Task, bool] = {}
         #: Flight recorder + provenance (DESIGN.md #10), pre-fetched with
-        #: the same one-branch idiom as telemetry.  The traced executor
-        #: factory is chosen once here: traced memo closures expose a
-        #: ``memo_hit`` cell the emulate span reads, and keeping them in
-        #: a separate intern table leaves the disabled path untouched.
+        #: the same one-branch idiom as telemetry.
         tr = getattr(kernel, "tracer", None)
         self._tr = tr if tr else None
         self._prov = getattr(kernel, "provenance", None)
-        self._executor_factory = (
-            traced_form_executor if self._tr is not None else form_executor
-        )
 
     def _storm_gauge(self) -> dict:
         """Flattened storm accounting for ``/proc/fpspy/counters``."""
@@ -332,7 +326,7 @@ class CPU:
         if entry is None or entry[0] is not site:
             entry = (
                 site,
-                self._executor_factory(site.form),
+                form_executor(site.form),
                 site.address + len(site.encoding),
             )
             self._site_cache[site.address] = entry

@@ -202,6 +202,70 @@ def test_http_errors_map_to_status_codes(http_daemon):
     assert exc.value.code == 404
 
 
+def _raw_post(url, path, headers, body=b""):
+    """POST with exactly the given headers (no implicit Content-Length);
+    returns (status, JSON reply).  A short socket timeout turns a
+    handler that blocks on the body into a test failure, not a hang."""
+    import http.client
+    from urllib.parse import urlparse
+
+    u = urlparse(url)
+    conn = http.client.HTTPConnection(u.hostname, u.port, timeout=10)
+    try:
+        conn.putrequest("POST", path, skip_accept_encoding=True)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body or None)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", [None, "abc", "1.5", "-1", "-100"])
+def test_http_post_rejects_bad_content_length(http_daemon, length):
+    """Missing, non-integer and negative lengths are 400 -- never an
+    exception inside the handler (no reply) or ``read(-1)`` (blocks
+    until the client hangs up)."""
+    _daemon, _server, url = http_daemon
+    headers = {"Content-Type": "application/json"}
+    if length is not None:
+        headers["Content-Length"] = length
+    status, reply = _raw_post(url, "/submit", headers)
+    assert status == 400
+    assert "Content-Length" in reply["error"]
+
+
+def test_http_post_refuses_oversized_body_unread(http_daemon):
+    """A body over MAX_BODY_BYTES gets 413 before a byte of it is read:
+    the client announces the size and sends nothing."""
+    from repro.campaign.daemon import MAX_BODY_BYTES
+
+    daemon, _server, url = http_daemon
+    status, reply = _raw_post(url, "/submit", {
+        "Content-Type": "application/json",
+        "Content-Length": str(MAX_BODY_BYTES + 1)})
+    assert status == 413
+    assert daemon.counters["submitted"] == 0
+    # A body of exactly the bound is read and judged on its content.
+    status, reply = _raw_post(url, "/submit", {
+        "Content-Type": "application/json",
+        "Content-Length": str(MAX_BODY_BYTES)}, b" " * MAX_BODY_BYTES)
+    assert status == 400
+
+
+@pytest.mark.parametrize("body", [b"[]", b"3", b'"x"', b"null", b"{nope"])
+def test_http_post_rejects_non_object_json(http_daemon, body):
+    daemon, _server, url = http_daemon
+    status, reply = _raw_post(url, "/submit", {
+        "Content-Type": "application/json",
+        "Content-Length": str(len(body))}, body)
+    assert status == 400
+    assert "JSON" in reply["error"]
+    # The daemon keeps serving after every refusal.
+    assert _request(url, "/stats")["counters"]["submitted"] == 0
+
+
 def test_http_artifact_rejects_path_escapes(http_daemon):
     """/artifact must 404 anything that is not a sha256 digest -- an
     absolute path or ../ sequence must never escape the store root."""

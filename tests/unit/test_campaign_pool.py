@@ -3,7 +3,7 @@
 The multiprocessing lifecycle tests force ``execution="pool"``: on a
 small CI host the planner would (correctly) pick in-process mode, and
 these tests exist precisely to exercise the real pool machinery --
-spawn-once reuse, warm-start accounting, and crash retry at batch
+spawn-once reuse, the close-time bye drain, and crash retry at batch
 granularity.
 """
 
@@ -23,7 +23,6 @@ from repro.campaign import (
     smoke_campaign,
 )
 from repro.campaign.planner import MAX_BATCH, SPAWN_SECONDS
-from repro.campaign.pool import SNAPSHOT_SUFFIX
 from repro.campaign.runner import MAX_ATTEMPTS
 
 TINY = CampaignSpec(
@@ -105,42 +104,19 @@ def test_plan_batch_size_scales_with_campaign_and_is_capped():
 # ------------------------------------------------------- pool lifecycle
 
 def test_pool_reuse_across_campaigns_zero_reloads(tmp_path):
-    """The tentpole contract: spawn once, warm-start once, serve many."""
-    memo = tmp_path / "memo.sqlite"
-    # Seed the cache so the pool has something to warm-start from.
-    seeded = run_campaign(TINY, workers=1, memo_path=memo)
-    assert seeded.host["memo"]["published_entries"] > 0
+    """The tentpole contract: spawn once, serve many."""
+    inprocess = run_campaign(TINY, workers=1)
 
-    with WorkerPool(2, memo_path=memo) as pool:
+    with WorkerPool(2) as pool:
         first = CampaignRunner(TINY, execution="pool", pool=pool).run()
         spawned_after_first = pool.stats["spawned_total"]
-        loads_after_first = pool.stats["snapshot_loads"]
         second = CampaignRunner(TINY, execution="pool", pool=pool).run()
 
-        # Zero new spawns and zero warm-start reloads for campaign two.
+        # Zero new spawns for campaign two.
         assert pool.stats["spawned_total"] == spawned_after_first == 2
-        assert pool.stats["snapshot_loads"] == loads_after_first == 2
         assert pool.stats["campaigns_served"] == 2
-        assert pool.stats["warm_loaded_total"] > 0
         assert second.host["pool"]["reused"] is True
-    assert first.report_text == second.report_text == seeded.report_text
-
-
-def test_owned_pool_publishes_memo_deltas_cold_start(tmp_path):
-    memo = tmp_path / "memo.sqlite"
-    cold = run_campaign(TINY, workers=2, memo_path=memo, execution="pool")
-    assert memo.exists()
-    host_memo = cold.host["memo"]
-    assert all(
-        w["memo_status"] == "absent"
-        for w in host_memo["per_worker"].values())
-    assert host_memo["published_entries"] > 0
-
-    warm = run_campaign(TINY, workers=2, memo_path=memo, execution="pool")
-    warm_workers = warm.host["memo"]["per_worker"].values()
-    assert all(w["memo_status"] == "ok" for w in warm_workers)
-    assert all(w["warm_loaded"] > 0 for w in warm_workers)
-    assert warm.report_text == cold.report_text
+    assert first.report_text == second.report_text == inprocess.report_text
 
 
 def test_crash_mid_batch_retries_unfinished_on_fresh_member(tmp_path):
@@ -174,30 +150,11 @@ def test_crash_mid_batch_retries_unfinished_on_fresh_member(tmp_path):
     assert pool_tel["batch_retries"] == 2
 
 
-def test_stale_snapshot_unlinked_when_cache_absent(tmp_path):
-    """A leftover snapshot blob must not outlive its cache: workers
-    would warm-load entries that are excluded from deltas and therefore
-    never published to the new cache."""
-    memo = tmp_path / "memo.sqlite"
-    snap = tmp_path / ("memo.sqlite" + SNAPSHOT_SUFFIX)
-    run_campaign(TINY, workers=1, memo_path=memo)  # seed the cache
-    with WorkerPool(1, memo_path=memo):
-        pass
-    assert snap.exists()
-    memo.unlink()  # the cache is gone; the blob is now stale
-    with WorkerPool(1, memo_path=memo) as pool:
-        assert not snap.exists()
-        assert pool.stats["snapshot_status"] == "absent"
-        for hello in pool.hello_info().values():
-            assert hello["memo_status"] == "absent"
-
-
-def test_close_drains_delta_from_worker_that_already_exited(tmp_path):
-    """A worker enqueues its delta/bye and exits immediately; the close
-    drain must keep consuming even though the process is already dead,
-    or the memo delta is silently dropped."""
-    memo = tmp_path / "memo.sqlite"
-    pool = WorkerPool(1, memo_path=memo).start()
+def test_close_drains_bye_from_worker_that_already_exited(tmp_path):
+    """A worker enqueues its bye and exits immediately; the close drain
+    must keep consuming even though the process is already dead, so an
+    orderly exit is recognised as one."""
+    pool = WorkerPool(1).start()
     CampaignRunner(TINY, execution="pool", pool=pool).run()
     w = pool.live_workers()[0]
     w.task_q.put(("quit",))
@@ -205,7 +162,7 @@ def test_close_drains_delta_from_worker_that_already_exited(tmp_path):
     assert not w.proc.is_alive()
     stats = pool.close()
     assert w.said_bye
-    assert stats["published_entries"] > 0
+    assert stats["crashed_total"] == 0
 
 
 def test_borrowed_pool_drops_stale_campaign_messages(tmp_path):
@@ -227,7 +184,7 @@ def test_borrowed_pool_drops_stale_campaign_messages(tmp_path):
 
 
 def test_pool_rejects_use_after_close(tmp_path):
-    pool = WorkerPool(1, memo_path=tmp_path / "memo.sqlite").start()
+    pool = WorkerPool(1).start()
     pool.close()
     assert not pool.started
     with pytest.raises(RuntimeError, match="closed"):
@@ -238,22 +195,16 @@ def test_pool_rejects_use_after_close(tmp_path):
 
 def test_pool_mode_emits_dispatch_telemetry(tmp_path):
     result = run_campaign(
-        TINY, workers=2, memo_path=tmp_path / "memo.sqlite",
-        execution="pool", batch_size=1)
+        TINY, workers=2, execution="pool", batch_size=1)
     tel = result.host["telemetry"]["scopes"]["campaign.pool"]
     assert tel["batches_dispatched"] == len(TINY.runs)
     assert tel["runs_dispatched"] == len(TINY.runs)
-    # Memo snapshot timings ride the bus as gauges (satellite #6).
-    assert "memo_snapshot_build_seconds" in tel
-    assert "memo_snapshot_load_seconds" in tel
 
 
-def test_inprocess_mode_emits_memo_load_gauge(tmp_path):
-    memo = tmp_path / "memo.sqlite"
-    run_campaign(TINY, workers=1, memo_path=memo)
-    result = run_campaign(TINY, workers=1, memo_path=memo)
+def test_inprocess_mode_emits_run_counter(tmp_path):
+    result = run_campaign(TINY, workers=1)
+    assert result.host["plan"]["mode"] == "inprocess"
     tel = result.host["telemetry"]["scopes"]["campaign.pool"]
-    assert tel["memo_load_seconds"] >= 0.0
     assert tel["inprocess_runs"] == len(TINY.runs)
 
 
