@@ -16,7 +16,10 @@ pool is single-campaign-at-a-time by design, and run-level parallelism
 already saturates the host.  Admission control therefore bounds the
 *queue*, not the executor: a full queue returns 503, a submitter over
 their pending quota returns 429.  Request bodies are bounded too: a
-POST body over :data:`MAX_BODY_BYTES` gets 413 without being read.
+POST body over :data:`MAX_BODY_BYTES` gets 413 without being read, and
+a connection that stalls for :data:`REQUEST_TIMEOUT_SECONDS` mid-request
+is closed, so a client cannot hold a handler thread by announcing more
+body than it sends.
 
 Everything here is stdlib (``http.server``, ``threading``, ``urllib``)
 -- the daemon must work in the same no-new-dependencies environment as
@@ -43,6 +46,9 @@ MAX_PENDING_PER_SUBMITTER = 4
 #: Largest POST body the HTTP API reads; beyond this, 413.  A campaign
 #: spec is a few bytes per run, so this leaves room for ~10k-run specs.
 MAX_BODY_BYTES = 1 << 20
+#: Longest a handler waits on one socket read (request line, headers or
+#: body) before it closes the connection.
+REQUEST_TIMEOUT_SECONDS = 30.0
 
 
 class AdmissionError(RuntimeError):
@@ -438,6 +444,7 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = REQUEST_TIMEOUT_SECONDS
 
         def log_message(self, *args):  # quiet by default
             pass
@@ -459,7 +466,10 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
 
             The length is checked before anything is read: a missing,
             non-integer or negative ``Content-Length`` is 400, and one
-            over :data:`MAX_BODY_BYTES` is 413.
+            over :data:`MAX_BODY_BYTES` is 413.  A body that stops
+            arriving short of ``Content-Length`` raises ``TimeoutError``
+            after :attr:`timeout`; ``handle_one_request`` catches it and
+            closes the connection without a reply.
             """
             try:
                 length = int(self.headers.get("Content-Length"))

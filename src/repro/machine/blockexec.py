@@ -9,7 +9,7 @@ masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding mode -- no FP
 instruction in the block can fault or trap, so a chunk of groups can be
 committed as a batch: results via the batch FP entry point
 :func:`repro.fp.batchfloat.execute_batch` (error-free transformations
-certify the common lanes, exact integer kernels cover the rest), one
+certify the common lanes, the scalar semantics cover the rest), one
 sticky-flag OR into ``%mxcsr``, one cycle charge, one vtime advance.
 This is sound because sticky-flag OR is commutative and nothing can
 observe intermediate state mid-chunk.  The
@@ -123,7 +123,7 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
 
     if block.arrays is not None:
         # One batch through the FP entry point: EFT-certified lanes plus
-        # the integer kernels for the rest give the full masked
+        # the per-lane scalar semantics for the rest give the full masked
         # semantics -- results, all six condition codes, NaN payloads,
         # subnormals -- for every lane.  Nothing can fault in the
         # quiescent state and flag OR is commutative, so batching order

@@ -8,8 +8,10 @@ re-execution, fused SIGTRAP, handler (re-arm).  The per-event fast path
 still walks the whole state machine one event at a time through Python.
 
 This driver (DESIGN.md #11) recognizes the storm as a *batch*: a run of
-consecutive same-RIP faulting groups whose outcomes the batch softfloat
-kernels (:mod:`repro.fp.batchfloat`) compute in one integer-array pass.
+consecutive same-RIP faulting groups whose outcomes the batch FP entry
+point (:func:`repro.fp.batchfloat.execute_batch`) computes in one call:
+EFT certification over the whole array, the scalar semantics for the
+few lanes it leaves.
 It then *replicates* -- rather than executes -- the per-event effects:
 trace records are serialized in one structured-array pass, cycle/time
 accounting is closed-form, and every telemetry counter, ``/proc/fpspy``

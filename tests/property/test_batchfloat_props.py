@@ -6,7 +6,8 @@ scalar oracle over adversarial operands (NaN payloads including SNaNs,
 signed zeros, subnormals, overflow boundaries, the edges of the EFT
 certification window, exact cancellations, binary32 FMA double-rounding
 ties) crossed with all four rounding modes and the DAZ/FTZ context bits,
-whichever tier -- EFT certifier or integer kernels -- settles the lane.
+whichever tier -- EFT certifier or per-lane scalar semantics -- settles
+the lane.
 """
 
 from unittest import mock
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.fp import batchfloat, vectorfast
 from repro.fp.batchfloat import (
-    _FMA_NEGATE,
     BATCH_KINDS,
     batch_covered,
     execute_batch,
@@ -28,6 +28,14 @@ from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import InstructionForm, OpKind, form
 
 _FPU = SoftFPU()
+
+#: (negate_product, negate_c) per FMA family kind.
+_FMA_NEGATE = {
+    OpKind.FMADD: (False, False),
+    OpKind.FMSUB: (False, True),
+    OpKind.FNMADD: (True, False),
+    OpKind.FNMSUB: (True, True),
+}
 
 _SPECIALS64 = [
     0x0000000000000000, 0x8000000000000000,  # +-0
@@ -200,6 +208,25 @@ def test_batch_stats_account_lanes():
     assert s["fallback_lanes"] == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    fmt=st.sampled_from([BINARY32, BINARY64]),
+    data=st.data(),
+    n=st.integers(min_value=1, max_value=48),
+)
+def test_special_lane_mask_matches_scalar_classification(fmt, data, n):
+    """The provenance pre-filter fires exactly on NaN, infinite and
+    subnormal lanes, and never on zeros or normals."""
+    bits = bits32 if fmt.width == 32 else bits64
+    specials = _SPECIALS32 if fmt.width == 32 else _SPECIALS64
+    lanes = specials + data.draw(st.lists(bits, min_size=n, max_size=n))
+    mask = batchfloat.special_lane_mask(fmt, np.array(lanes, np.uint64))
+    expected = [
+        fmt.is_nan(b) or fmt.is_inf(b) or fmt.is_subnormal(b) for b in lanes
+    ]
+    assert mask.tolist() == expected
+
+
 # ------------------------------------------------ EFT-first entry point
 
 #: Every batch kind in every format the entry point covers it in (FMA is
@@ -311,7 +338,7 @@ def test_fma32_halfway_ties_with_residual_stay_exact(f, data, n):
     """a*b + c = m -+ 2**-47 ulp for a binary32 midpoint m: the binary64
     sum rounds to m exactly with a nonzero residual, so narrowing it
     would break the tie the wrong way.  The certifier must refuse these
-    lanes and the integer kernels must round them correctly."""
+    lanes and the scalar fallback must round them correctly."""
     neg_p, neg_c = _FMA_NEGATE[f.kind]
     rows = []
     for _ in range(n):
@@ -346,9 +373,9 @@ def test_fma32_halfway_ties_with_residual_stay_exact(f, data, n):
     data=st.data(),
     n=st.integers(min_value=1, max_value=32),
 )
-def test_fully_certified_batches_skip_integer_kernels(f, data, n):
+def test_fully_certified_batches_skip_scalar_lanes(f, data, n):
     """Mid-range operands under round-to-nearest certify every lane:
-    no fallback lanes, and the integer kernels are never entered."""
+    no fallback lanes, and the scalar semantics are never entered."""
     fmt = f.fmt
     sign = st.just(0) if f.kind is OpKind.SQRT else st.integers(0, 1)
     mid = st.builds(
@@ -363,7 +390,7 @@ def test_fully_certified_batches_skip_integer_kernels(f, data, n):
     ctx = FPContext()
     before = batchfloat.batch_stats()["fallback_lanes"]
     with mock.patch.object(
-        batchfloat, "_exact_batch", side_effect=AssertionError("entered")
+        batchfloat, "execute_form", side_effect=AssertionError("entered")
     ):
         res = execute_batch(f, ops, ctx)
     assert res.fallback_lanes == 0

@@ -254,6 +254,33 @@ def test_http_post_refuses_oversized_body_unread(http_daemon):
     assert status == 400
 
 
+@pytest.fixture
+def short_request_timeout(monkeypatch):
+    """Handler read timeout of 0.5 s; list before ``http_daemon``."""
+    import repro.campaign.daemon as daemon_mod
+
+    monkeypatch.setattr(daemon_mod, "REQUEST_TIMEOUT_SECONDS", 0.5)
+
+
+def test_http_short_body_times_out_and_closes(short_request_timeout,
+                                              http_daemon):
+    """A client that announces more body than it sends loses its
+    connection after the read timeout instead of holding the handler."""
+    import socket
+    from urllib.parse import urlparse
+
+    daemon, _server, url = http_daemon
+    u = urlparse(url)
+    with socket.create_connection((u.hostname, u.port), timeout=10) as s:
+        s.sendall(b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                  b"Content-Type: application/json\r\n"
+                  b"Content-Length: 100\r\n\r\n{\"campaign\"")
+        assert s.recv(4096) == b""  # closed, no reply
+    assert daemon.counters["submitted"] == 0
+    # The daemon keeps serving well-formed requests.
+    assert _request(url, "/stats")["counters"]["submitted"] == 0
+
+
 @pytest.mark.parametrize("body", [b"[]", b"3", b'"x"', b"null", b"{nope"])
 def test_http_post_rejects_non_object_json(http_daemon, body):
     daemon, _server, url = http_daemon
