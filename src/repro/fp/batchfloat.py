@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.fp import vectorfast
 from repro.fp.flags import Flag
-from repro.fp.formats import BINARY32, BINARY64, BinaryFormat
+from repro.fp.formats import BINARY32, BINARY64
 from repro.fp.softfloat import FPContext
 from repro.isa.forms import InstructionForm, OpKind
 from repro.isa.semantics import execute_form
@@ -88,18 +88,6 @@ class BatchResult:
     flags: np.ndarray
     tiny: np.ndarray
     fallback_lanes: int = 0
-
-
-def special_lane_mask(fmt: BinaryFormat, bits: np.ndarray) -> np.ndarray:
-    """Lanes whose bit pattern is NaN, infinite, or subnormal.
-
-    The provenance tracker only reacts to these classes (plus the flag
-    word), so a batched commit may restrict its per-group ``observe``
-    calls to groups where this mask fires on any input or result lane.
-    """
-    exp = (bits >> np.uint64(fmt.mant_bits)) & np.uint64(fmt.exp_mask)
-    mant = bits & np.uint64(fmt.mant_mask)
-    return (exp == fmt.exp_mask) | ((exp == 0) & (mant != 0))
 
 
 def execute_batch(

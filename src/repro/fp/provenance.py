@@ -21,10 +21,11 @@ magnitude.
 Coverage is complete despite the batched fast paths: hooks on the
 scalar paths -- ``_exec_fp`` retirement, block scalar substeps, and
 handler-emulated writebacks -- observe every operation, and batched
-commits observe every group whose operands or results carry a
-NaN/Inf/denorm bit pattern (:func:`repro.fp.batchfloat.special_lane_mask`
-or the storm's window pre-scan), which are the only operations that can
-touch an exceptional value.
+commits (block chunks and storm batches) observe every group whose
+operands or results carry a NaN/Inf/denorm bit pattern
+(:meth:`ProvenanceTracker.scan_window` over the block's execution
+window), which are the only operations that can touch an exceptional
+value.
 """
 
 from __future__ import annotations
@@ -283,7 +284,7 @@ class ProvenanceTracker:
 
     def scan_window(self, site, ops, results, ng: int, lanes: int,
                     last_take: int):
-        """Vectorized pre-scan of a storm cache window: which groups
+        """Vectorized pre-scan of a block execution window: which groups
         *might* touch provenance state?
 
         ``ops`` are the window's operand arrays (one per operand
@@ -291,12 +292,12 @@ class ProvenanceTracker:
         matching result bits.  Tags only ever hold exceptional bit
         patterns, so a group whose operand and result lanes are all
         ordinary can neither create, propagate, nor sink a chain -- the
-        storm driver skips its per-event :meth:`observe` entirely (it
-        still counts as observed).  Returns an ``ng``-long boolean
-        array; ``True`` means "replay this group through observe
-        exactly".  The storm driver computes this once per batch cache
-        and slices per committed window, so the whole remaining block
-        costs a handful of numpy passes.  The final group is
+        block engine and the storm driver skip its :meth:`observe`
+        entirely (it still counts as observed).  Returns an ``ng``-long
+        boolean array; ``True`` means "replay this group through observe
+        exactly".  It is computed once per window and sliced per
+        committed chunk or storm, so the whole remaining block costs a
+        handful of numpy passes.  The final group is
         conservatively flagged when partial (``last_take < lanes``),
         because its padding lanes are unverified.
 

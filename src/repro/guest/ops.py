@@ -61,8 +61,9 @@ class FPBlock(GuestOp):
     it is nothing new -- the machine must execute it *exactly* as if the
     equivalent per-instruction stream had been yielded (same sticky
     flags, faults, vtime, cycle charges, and signal landing points); the
-    block form merely licenses the CPU to batch the work when the task is
-    quiescent (see :mod:`repro.machine.blockexec`).
+    block form merely licenses the CPU to batch every run of groups that
+    cannot fault under the task's current masks (see
+    :mod:`repro.machine.blockexec`).
 
     Operand storage is dual: forms the batch FP entry point covers
     (:func:`repro.fp.batchfloat.batch_covered`) carry one padded
@@ -87,6 +88,11 @@ class FPBlock(GuestOp):
     #: Cached provenance masks (class attr, not a field: lazily set by
     #: the scalar sub-step's inert-skip guard).
     _prov_masks = None
+    #: The block engine's execution window and the storm driver's
+    #: si_code cache over it (class attrs, not fields: lazily set by
+    #: :func:`repro.machine.blockexec.window` and the storm driver).
+    _window = None
+    _storm_cache = None
 
     index: int = 0  #: groups fully retired so far
     fp_done: bool = False  #: current group's FP instruction has retired

@@ -148,8 +148,9 @@ class KernelBuilder:
 
         By default the whole stream is packaged as one :class:`FPBlock`
         superblock -- the machine executes it with semantics identical to
-        the per-instruction stream, but may batch it when the task is
-        quiescent (DESIGN.md decision #6).  Pass ``block=False`` to yield
+        the per-instruction stream, but may batch every run of groups
+        that cannot fault under the task's current masks (DESIGN.md
+        decision #6).  Pass ``block=False`` to yield
         the stream the legacy way: one :class:`FPInstruction` per
         ``site.form.lanes`` elements (padding the tail with benign
         operands) with an :class:`IntWork` after each.  Either way the

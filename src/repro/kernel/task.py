@@ -92,10 +92,11 @@ class Task:
     def fp_quiescent(self) -> bool:
         """No FP instruction can fault or single-step trap right now:
         every exception masked, no FTZ/DAZ (any rounding mode), and
-        ``RFLAGS.TF`` clear.  This is the gate for the
-        block execution fast path -- FPSpy's individual mode unmasks its
-        capture set per thread, which makes the task non-quiescent and
-        forces precise per-instruction execution by construction."""
+        ``RFLAGS.TF`` clear.  The block engine's group-by-group chunk
+        for blocks without operand arrays requires it.  Array blocks do
+        not: they commit any run of groups that cannot fault under the
+        current masks (quiescent or not; see
+        :mod:`repro.machine.blockexec`)."""
         return not self.trap_flag and self.mxcsr.quiescent
 
     def post_signal(self, info: SigInfo) -> None:

@@ -1,44 +1,55 @@
-"""The vectorized masked-mode block execution engine.
+"""The block execution engine.
 
 One :class:`repro.guest.ops.FPBlock` stands for a long per-instruction
 stream; this module executes it so the two are architecturally
 indistinguishable (DESIGN.md decision #6).  Two regimes:
 
-**Quiescent fast path.**  When the task is quiescent -- every exception
-masked, ``RFLAGS.TF`` clear, no FTZ/DAZ, any rounding mode -- no FP
-instruction in the block can fault or trap, so a chunk of groups can be
-committed as a batch: results via the batch FP entry point
-:func:`repro.fp.batchfloat.execute_batch` (error-free transformations
-certify the common lanes, the scalar semantics cover the rest), one
-sticky-flag OR into ``%mxcsr``, one cycle charge, one vtime advance.
-This is sound because sticky-flag OR is commutative and nothing can
-observe intermediate state mid-chunk.  The
-chunk is capped by the scheduler quantum and by the vtimer/real-timer
-budgets exactly as ``CPU._exec_int`` caps integer runs, so ``SIGVTALRM``
-and ``SIGALRM`` land on the precise instruction the per-instruction
-stream would deliver them at.
+**Fast path: non-faulting runs.**  An array block has one *execution
+window* (:class:`Window`): its lanes from the cursor to the block end,
+run once per :class:`repro.fp.softfloat.FPContext` through the batch FP
+entry point :func:`repro.fp.batchfloat.execute_batch` (error-free
+transformations certify the common lanes, the scalar semantics cover
+the rest).  A lane's bits, flags and ``tiny`` depend only on the
+context, never on the exception masks, so the window also tells, for
+any mask set, which groups would fault: those whose flags hit an
+unmasked exception, or that are tiny while Underflow is unmasked.  The
+leading run of groups that cannot fault under the task's current masks
+is committed as one chunk: one sticky-flag OR into ``%mxcsr``, one
+cycle charge, one vtime advance.  This is sound because no group in the
+run faults, sticky-flag OR is commutative and nothing can observe
+intermediate state mid-chunk.  Quiescence -- every exception masked --
+is the special case where the whole window is one run.  The chunk is
+capped by the scheduler quantum and by the vtimer/real-timer budgets
+exactly as ``CPU._exec_int`` caps integer runs, so ``SIGVTALRM`` and
+``SIGALRM`` land on the precise instruction the per-instruction stream
+would deliver them at.  Blocks without operand arrays (forms outside
+the batch entry point) keep a quiescent-only group-by-group chunk.
 
-**Precise replay.**  Outside quiescence -- FPSpy individual mode
-unmasking its capture set, a sampler duty cycle turning on, ``fesetenv``,
-single-stepping -- the block executes one sub-step per ``CPU.step`` call,
+**Precise replay.**  A group that would fault -- FPSpy individual mode
+catching an event of its capture set -- is first offered to the storm
+batch driver (:mod:`repro.machine.storm`), which reads the same window.
+Otherwise, and whenever the fast path's gate fails (single-stepping,
+an open flight-recorder trap tree, a timer expiring inside the next
+group), the block executes one sub-step per ``CPU.step`` call,
 mirroring ``_exec_fp``/``_exec_int`` verbatim: condition codes stick,
 unmasked conditions fault *before writeback* with the block's cursor
 parked on the faulting instruction (so the handler return restarts it),
 ``TF`` traps after every retirement, integer phases chunk at timer
-boundaries.  Because blocks only ever commit group-at-a-time through
-this path, fault-before-writeback is preserved and individual-mode trace
-files are byte-identical with the block engine enabled.
+boundaries.  Fault-before-writeback is preserved, and individual-mode
+trace files are byte-identical with the block engine enabled.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.fp import batchfloat, provenance as _prov_mod
 from repro.machine import storm
-from repro.fp.flags import Flag, highest_priority
+from repro.fp.flags import MASK_SHIFT, Flag, highest_priority
+from repro.fp.softfloat import FPContext
 from repro.guest.ops import FPBlock
 from repro.kernel.signals import FLAG_SICODE_INT, SigInfo, Signal
 from repro.kernel.task import Task
@@ -46,43 +57,142 @@ from repro.kernel.task import Task
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cpu import CPU
 
+_ALL = 0x3F
+_UE = int(Flag.UE)
+
+
+class Window:
+    """One batch execution of a block's lanes from group ``start`` to the
+    block end under ``ctx``.
+
+    ``bits``, ``flags`` and ``tiny`` are the per-lane outcome arrays of
+    :func:`repro.fp.batchfloat.execute_batch`.  Everything per group is
+    derived lazily: the flag OR (``codes``), the pending-exception set
+    and fault positions per mask set, and the provenance pre-scan.
+    """
+
+    __slots__ = ("ctx", "start", "ng", "lanes", "ops", "bits", "flags",
+                 "tiny", "_codes", "_pend", "_scan")
+
+    def __init__(self, block: FPBlock, ctx: FPContext) -> None:
+        form = block.site.form
+        self.ctx = ctx
+        self.start = block.index
+        self.ng = block.n_groups - block.index
+        self.lanes = form.lanes
+        lo = self.start * self.lanes
+        self.ops = tuple(a[lo:] for a in block.arrays)
+        res = batchfloat.execute_batch(form, self.ops, ctx)
+        self.bits, self.flags, self.tiny = res.bits, res.flags, res.tiny
+        self._codes = None
+        #: unmasked set -> (per-group pending array, fault positions)
+        self._pend: dict[int, tuple[np.ndarray, list[int]]] = {}
+        self._scan = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Per-group OR of the lane flags (int64)."""
+        if self._codes is None:
+            self._codes = np.bitwise_or.reduce(
+                self.flags.reshape(self.ng, self.lanes), axis=1)
+        return self._codes
+
+    def _pending(self, unmasked: int) -> tuple[np.ndarray, list[int]]:
+        ent = self._pend.get(unmasked)
+        if ent is None:
+            pend = self.codes & unmasked
+            if unmasked & _UE:
+                # Unmasked-UM corner: an exact-but-tiny result traps too.
+                tiny_g = self.tiny.reshape(self.ng, self.lanes).any(axis=1)
+                pend = pend | np.where(tiny_g, _UE, 0)
+            ent = self._pend[unmasked] = (pend, np.flatnonzero(pend).tolist())
+        return ent
+
+    def pending(self, unmasked: int) -> np.ndarray:
+        """Per group, the exceptions that fault under ``unmasked``."""
+        return self._pending(unmasked)[0]
+
+    def clean_run(self, rel: int, unmasked: int) -> int:
+        """How many groups from window group ``rel`` on cannot fault
+        under ``unmasked`` (0: group ``rel`` itself faults)."""
+        if not unmasked:
+            return self.ng - rel
+        faults = self._pending(unmasked)[1]
+        i = bisect_left(faults, rel)
+        return (faults[i] if i < len(faults) else self.ng) - rel
+
+    def prov_scan(self, prov, block: FPBlock) -> np.ndarray:
+        """The provenance pre-scan of the whole window, computed once
+        (:meth:`repro.fp.provenance.ProvenanceTracker.scan_window`)."""
+        if self._scan is None:
+            self._scan = prov.scan_window(
+                block.site, self.ops, self.bits, self.ng, self.lanes,
+                block.take(block.n_groups - 1))
+        return self._scan
+
+
+def window(block: FPBlock, ctx: FPContext) -> Window:
+    """``block``'s execution window under ``ctx``, recomputed from the
+    cursor when the context changed since it was built."""
+    w = block._window
+    if w is None or w.ctx != ctx:
+        w = block._window = Window(block, ctx)
+    return w
+
 
 def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     """Execute one ``CPU.step``'s worth of ``block`` for ``task``."""
-    kernel = cpu.kernel
     # The block stays current until its last group retires, so faults,
     # traps, and preemption all resume it at the cursor.
     task.pending_op = block
-    if (
-        block.fp_done  # mid-group: finish the integer phase first
-        or not kernel.config.blockexec
-        or not task.fp_quiescent
-    ):
-        # Non-quiescent usually means FPSpy's individual mode is live:
-        # first offer the run of faulting groups to the storm batch
-        # driver (DESIGN.md #11), which commits whole trap lifecycles as
-        # one array op when -- and only when -- that is provably
-        # byte-identical to precise stepping.
-        if (
-            cpu.stormbatch
-            and not block.fp_done
-            and kernel.config.blockexec
-            and storm.try_storm(cpu, task, block)
-        ):
+    if not block.fp_done and cpu.kernel.config.blockexec:
+        if block.arrays is not None:
+            tr = cpu._tr
+            if (
+                not task.trap_flag
+                and not task.pending_signals
+                and (tr is None or task not in tr._live)
+                and batchfloat.batch_covered(block.site.form)
+            ):
+                mx = task.mxcsr
+                w = window(block, mx.context())
+                unmasked = ~(mx.value >> MASK_SHIFT) & _ALL
+                n = w.clean_run(block.index - w.start, unmasked)
+                if n:
+                    return _fast(cpu, task, block, n, w, unmasked)
+        elif task.fp_quiescent:
+            return _fast(cpu, task, block, block.n_groups - block.index,
+                         None, 0)
+        # The cursor's group would fault (FPSpy individual mode caught
+        # an event), or the gate failed: offer the run of faulting
+        # groups to the storm batch driver (DESIGN.md #11), which
+        # commits whole trap lifecycles as one array op when -- and only
+        # when -- that is provably byte-identical to precise stepping.
+        if cpu.stormbatch and storm.try_storm(cpu, task, block):
             return True
-        if cpu._t_blk_scalar is not None:
-            cpu._t_blk_scalar.value += 1
-            cpu._note_block_mode(task, False)
-        return _scalar_substep(cpu, task, block)
+    if cpu._t_blk_scalar is not None:
+        cpu._t_blk_scalar.value += 1
+        cpu._note_block_mode(task, False)
+    return _scalar_substep(cpu, task, block)
 
-    costs = cpu.costs
+
+# --------------------------------------------------------------- fast path
+
+
+def _fast(
+    cpu: "CPU", task: Task, block: FPBlock, n: int, w: Window | None,
+    unmasked: int,
+) -> bool:
+    """Commit up to ``n`` non-faulting groups, capped by the scheduler
+    slice and the timer budgets."""
+    kernel = cpu.kernel
     u = 1 + block.interleave  # vtime units per group
-    per_group = costs.block_group_cycles(block.interleave)
+    per_group = cpu.costs.block_group_cycles(block.interleave)
     # Scheduler-slice weight: per-instruction execution spends one step on
     # the FP instruction and (when interleaved) one on the IntWork chunk,
-    # so a k-group batch stands for k*w steps of the task's quantum.
-    w = 2 if block.interleave > 0 else 1
-    k = min(block.n_groups - block.index, cpu.step_budget // w)
+    # so a k-group batch stands for k*s steps of the task's quantum.
+    s = 2 if block.interleave > 0 else 1
+    k = min(n, cpu.step_budget // s)
     vt_budget, real_budget = kernel.timer_budgets(task)
     if vt_budget is not None:
         k = min(k, vt_budget // u)
@@ -98,69 +208,69 @@ def step_block(cpu: "CPU", task: Task, block: FPBlock) -> bool:
             cpu._note_block_mode(task, False)
         return _scalar_substep(cpu, task, block)
 
-    _commit_chunk(cpu, task, block, k)
-    cpu.step_cost = k * w
+    _commit_chunk(cpu, task, block, k, w)
+    cpu.step_cost = k * s
     if cpu._tr is not None:
         # Fast-path batches stamp one coarse span (never per-instruction
-        # detail -- nothing in a quiescent chunk can fault or trap).
+        # detail -- nothing in a committed chunk can fault or trap).
         cpu._tr.chunk(task, block.site.address, k)
     if cpu._t_blk_chunks is not None:
         cpu._t_blk_chunks.value += 1
         cpu._t_blk_groups.value += k
+        if unmasked:
+            cpu._t_blk_unmasked.value += 1
         cpu._note_block_mode(task, True)
     return True
 
 
-# --------------------------------------------------------------- fast path
-
-
-def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
-    """Retire ``k`` whole groups as one batch (quiescent state only)."""
-    form = block.site.form
-    lanes = form.lanes
+def _commit_chunk(
+    cpu: "CPU", task: Task, block: FPBlock, k: int, w: Window | None
+) -> None:
+    """Retire ``k`` whole non-faulting groups as one batch: from the
+    window ``w``, or (non-array blocks) group by group."""
+    kernel = cpu.kernel
+    site = block.site
+    lanes = site.form.lanes
     start = block.index
-    flags = Flag.NONE
+    prov = cpu._prov
+    c0 = kernel.cycles
+    per_group = cpu.costs.block_group_cycles(block.interleave)
 
-    if block.arrays is not None:
-        # One batch through the FP entry point: EFT-certified lanes plus
-        # the per-lane scalar semantics for the rest give the full masked
-        # semantics -- results, all six condition codes, NaN payloads,
-        # subnormals -- for every lane.  Nothing can fault in the
-        # quiescent state and flag OR is commutative, so batching order
-        # is unobservable.
-        lo, hi = start * lanes, (start + k) * lanes
-        ops = tuple(a[lo:hi] for a in block.arrays)
-        res = batchfloat.execute_batch(form, ops, task.mxcsr.context())
-        flags |= Flag(int(np.bitwise_or.reduce(res.flags)))
-        out = res.bits.tolist()
-        if cpu._prov is not None:
+    if w is not None:
+        rel = start - w.start
+        lo, hi = rel * lanes, (rel + k) * lanes
+        flags = Flag(int(np.bitwise_or.reduce(w.flags[lo:hi])))
+        out = w.bits[lo:hi].tolist()
+        if prov is not None:
             # Provenance only reacts to NaN/Inf/denorm bit patterns, so
-            # observing just the groups carrying one (as input or
-            # result) sees every origin, propagation, and sink the
-            # per-group path would.
-            special = batchfloat.special_lane_mask(form.fmt, res.bits)
-            for o in ops:
-                special |= batchfloat.special_lane_mask(form.fmt, o)
-            gflags = res.flags.reshape(k, lanes)
-            for gi in np.nonzero(special.reshape(k, lanes).any(axis=1))[0]:
-                g = start + int(gi)
+            # observing just the groups the window pre-scan flags (as
+            # input or result) sees every origin, propagation, and sink
+            # the per-group path would -- each at the cycle the precise
+            # sub-step observes it (before its retirement charge).
+            idxs = np.flatnonzero(w.prov_scan(prov, block)[rel:rel + k])
+            prov.observed += k - idxs.size
+            for j in idxs.tolist():
+                g = start + j
                 take = block.take(g)
-                glo = int(gi) * lanes
-                cpu._prov.observe(
-                    task, block.site, block.group(g)[:take],
-                    tuple(out[glo:glo + take]),
-                    Flag(int(np.bitwise_or.reduce(gflags[gi]))),
+                kernel.cycles = c0 + j * per_group
+                prov.observe(
+                    task, site, block.group(g)[:take],
+                    tuple(out[j * lanes:j * lanes + take]),
+                    Flag(int(w.codes[rel + j])),
                 )
     else:
+        flags = Flag.NONE
         out = []
-        for g in range(start, start + k):
-            outcome = cpu.execute_site(task, block.site, block.group(g))
+        for j in range(k):
+            g = start + j
+            outcome = cpu.execute_site(task, site, block.group(g))
             flags |= outcome.flags
             out.extend(outcome.results)
-            if cpu._prov is not None:
+            if prov is not None:
                 take = block.take(g)
-                cpu._prov.observe(
-                    task, block.site, block.group(g)[:take],
+                kernel.cycles = c0 + j * per_group
+                prov.observe(
+                    task, site, block.group(g)[:take],
                     outcome.results[:take], outcome.flags,
                 )
 
@@ -171,12 +281,11 @@ def _commit_chunk(cpu: "CPU", task: Task, block: FPBlock, k: int) -> None:
     valid = min(end * lanes, block.n_elements) - start * lanes
     block.results.extend(out[:valid])
     block.index = end
-    task.last_rip = block.site.address + len(block.site.encoding)
+    task.last_rip = site.address + len(site.encoding)
 
-    costs = cpu.costs
-    cycles = k * costs.block_group_cycles(block.interleave)
+    cycles = k * per_group
     task.utime_cycles += cycles
-    cpu.kernel.cycles += cycles
+    kernel.cycles = c0 + cycles
     task.advance_vtime(k * (1 + block.interleave))
     if block.done:
         _finish(task, block)
@@ -270,7 +379,7 @@ def _substep_fp(cpu: "CPU", task: Task, block: FPBlock) -> bool:
     tr = cpu._tr
     if tr is not None and task in tr._live:
         # fp_retired is a no-op without an open trap tree; checking here
-        # keeps the every-retirement hook off the quiescent-run path.
+        # keeps the every-retirement hook off the common path.
         tr.fp_retired(task, block.site.address, None)
     cpu._maybe_trap(task)
     return True

@@ -121,6 +121,7 @@ class CPU:
             self._t_blk_chunks = blk.counter("fast_chunks")
             self._t_blk_groups = blk.counter("fast_groups")
             self._t_blk_scalar = blk.counter("scalar_substeps")
+            self._t_blk_unmasked = blk.counter("unmasked_chunks")
             self._t_blk_enter = blk.counter("quiesce.entries")
             self._t_blk_exit = blk.counter("quiesce.exits")
         else:
@@ -133,11 +134,12 @@ class CPU:
             self._t_blk_chunks = None
             self._t_blk_groups = None
             self._t_blk_scalar = None
+            self._t_blk_unmasked = None
             self._t_blk_enter = None
             self._t_blk_exit = None
         #: Host-only per-task record of the block engine's last regime
-        #: (True = vectorized chunk, False = precise sub-step), for the
-        #: quiescence entry/exit transition counters.
+        #: (True = fast chunk commit, False = precise sub-step), for the
+        #: fast-regime entry/exit transition counters.
         self._blk_mode: dict[Task, bool] = {}
         #: Flight recorder + provenance (DESIGN.md #10), pre-fetched with
         #: the same one-branch idiom as telemetry.
@@ -158,7 +160,9 @@ class CPU:
         return out
 
     def _note_block_mode(self, task: Task, fast: bool) -> None:
-        """Count quiescence regime transitions for ``task`` (telemetry)."""
+        """Count ``task``'s block-engine transitions between the fast
+        regime (chunk commits, under any masks) and the precise one
+        (sub-steps) as ``quiesce.entries``/``quiesce.exits`` (telemetry)."""
         prev = self._blk_mode.get(task)
         if prev is fast:
             return

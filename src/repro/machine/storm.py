@@ -8,10 +8,14 @@ re-execution, fused SIGTRAP, handler (re-arm).  The per-event fast path
 still walks the whole state machine one event at a time through Python.
 
 This driver (DESIGN.md #11) recognizes the storm as a *batch*: a run of
-consecutive same-RIP faulting groups whose outcomes the batch FP entry
-point (:func:`repro.fp.batchfloat.execute_batch`) computes in one call:
-EFT certification over the whole array, the scalar semantics for the
-few lanes it leaves.
+consecutive same-RIP faulting groups.  Their outcomes come from the
+block's execution window (:class:`repro.machine.blockexec.Window`): one
+call of the batch FP entry point
+(:func:`repro.fp.batchfloat.execute_batch`) per block and FP context,
+shared with the block engine's non-faulting-run commits, so a block is
+never batch-executed twice.  The faulting execution and the handler's
+masked re-execution produce the same lane outcomes (admission proves
+their contexts equal), so one window serves both.
 It then *replicates* -- rather than executes -- the per-event effects:
 trace records are serialized in one structured-array pass, cycle/time
 accounting is closed-form, and every telemetry counter, ``/proc/fpspy``
@@ -35,13 +39,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.fp import batchfloat
 from repro.fp.batchfloat import batch_covered
 from repro.fp.flags import MASK_SHIFT, Flag, flags_to_events
 from repro.fp.mxcsr import MXCSR
 from repro.guest.ops import FPBlock
 from repro.kernel.signals import FLAG_SICODE_INT, Signal
 from repro.kernel.task import Task
+from repro.machine import blockexec
 from repro.trace.records import RECORD_DTYPE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.cpu import CPU
 
 _ALL = 0x3F
-_UE = int(Flag.UE)
 
 #: ``lowest set pending bit -> si_code``, derived from the kernel's own
 #: table (``highest_priority`` is the lowest set bit, IE first).
@@ -139,18 +142,18 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         # (only differs when FTZ rides an unmasked Underflow).
         return _reject(cpu, "ctx")
 
-    cache = getattr(block, "_storm_cache", None)
-    if (
-        cache is None
-        or cache[0] != ctx
-        or cache[1] != base
-        or cache[2] > block.index
-    ):
-        cache = _build_cache(block, form, ctx, base, cpu._prov)
-        block._storm_cache = cache
-    rel = block.index - cache[2]
-    pend_w = cache[5]
-    nz = pend_w[rel:] != 0
+    # The block's execution window supplies the bits, flags and per-group
+    # pending sets; this cache adds the si_codes for the mask set, keyed
+    # on the window (hence ctx) plus ``base``, which only feeds the
+    # record fields.
+    w = blockexec.window(block, ctx)
+    cache = block._storm_cache
+    if cache is None or cache[0] is not w or cache[1] != base:
+        pend = w.pending(~(base >> MASK_SHIFT) & _ALL)
+        cache = block._storm_cache = (
+            w, base, pend, _SICODE_LUT[pend & -pend])
+    rel = block.index - w.start
+    nz = cache[2][rel:] != 0
     streak = len(nz) if nz.all() else int(np.argmin(nz))
 
     # Scheduler-quantum cap: a group is 3 precise steps with interleave
@@ -169,35 +172,6 @@ def try_storm(cpu: "CPU", task: Task, block: FPBlock) -> bool:
         return _reject(cpu, "short")
     _commit(cpu, task, block, engine, mon, cache, rel, k, base)
     return True
-
-
-def _build_cache(block: FPBlock, form, ctx, base: int, prov=None):
-    """Batch-execute the block's remaining window once, cache per-group
-    codes / pending-exception / si_code arrays keyed on (ctx, base)."""
-    lanes = form.lanes
-    lo = block.index * lanes
-    ops = tuple(a[lo:] for a in block.arrays)
-    res = batchfloat.execute_batch(form, ops, ctx)
-    ng = block.n_groups - block.index
-    flags_g = res.flags.reshape(ng, lanes)
-    codes_g = np.bitwise_or.reduce(flags_g, axis=1).astype(np.int64)
-    unmasked = ~(base >> MASK_SHIFT) & _ALL
-    pend = codes_g & unmasked
-    if unmasked & _UE:
-        # Unmasked-UM corner: an exact-but-tiny result traps too.
-        tiny_g = res.tiny.reshape(ng, lanes).any(axis=1)
-        pend = pend | np.where(tiny_g, _UE, 0)
-    sic = _SICODE_LUT[pend & -pend]
-    # Trailing cell: the provenance pre-scan of this whole window (one
-    # scan serves every storm committed out of this cache).  Filled
-    # eagerly while the operand and result arrays are cache-hot;
-    # _replicate_events fills it lazily as a fallback.
-    cell = [None]
-    if prov is not None:
-        cell[0] = prov.scan_window(
-            block.site, ops, res.bits, ng, lanes,
-            block.take(block.n_groups - 1))
-    return (ctx, base, block.index, res.bits, codes_g, pend, sic, cell)
 
 
 def _commit(
@@ -222,10 +196,10 @@ def _commit(
     site = block.site
     lanes = site.form.lanes
     interleave = block.interleave
-    bits_flat, codes_w, pend_w, sic_w = cache[3], cache[4], cache[5], cache[6]
-    codes = codes_w[rel:rel + k]
-    pend = pend_w[rel:rel + k]
-    sic = sic_w[rel:rel + k]
+    w = cache[0]
+    codes = w.codes[rel:rel + k]
+    pend = cache[2][rel:rel + k]
+    sic = cache[3][rel:rel + k]
 
     fault_c = costs.fault_entry
     deliv_c = costs.signal_deliver
@@ -321,16 +295,14 @@ def _commit(
     lo = block.index * lanes
     end = block.index + k
     valid = min(end * lanes, block.n_elements) - lo
-    seg = bits_flat[(rel * lanes):(rel + k) * lanes]
+    seg = w.bits[(rel * lanes):(rel + k) * lanes]
     block.results.extend(seg[:valid].tolist())
     block.index = end
     block.fp_done = False
     task.last_rip = end_rip
     task.advance_vtime(k * (1 + interleave))  # vtimer is None (admission)
     if block.done:
-        from repro.machine.blockexec import _finish
-
-        _finish(task, block)
+        blockexec._finish(task, block)
     cpu.step_cost = (3 if interleave > 0 else 2) * k
 
     st = cpu.storm_stats
@@ -374,7 +346,7 @@ def _replicate_events(
     costs = cpu.costs
     site = block.site
     lanes = site.form.lanes
-    bits_flat = block._storm_cache[3]
+    w = block._window
     tr = cpu._tr
     prov = cpu._prov
     t_scope = engine._t_scope
@@ -431,18 +403,7 @@ def _replicate_events(
             # re-execution, after the recording handler returns).  The
             # scan covers the whole cached window once; each committed
             # storm just slices its k groups out of it.
-            cache = block._storm_cache
-            cell = cache[7]
-            sus_w = cell[0]
-            if sus_w is None:
-                i0 = cache[2]
-                ng = block.n_groups - i0
-                sus_w = cell[0] = prov.scan_window(
-                    site,
-                    tuple(a[i0 * lanes:] for a in block.arrays),
-                    bits_flat, ng, lanes,
-                    block.take(block.n_groups - 1),
-                )
+            sus_w = w.prov_scan(prov, block)
             idxs = [j for j, s in
                     enumerate(sus_w[rel:rel + k].tolist()) if s]
             prov.observed += k - len(idxs)
@@ -456,7 +417,7 @@ def _replicate_events(
                 glo = (rel + j) * lanes
                 marks[j] = prov.observe(
                     task, site, block.group(g)[:take],
-                    tuple(bits_flat[glo:glo + take].tolist()),
+                    tuple(w.bits[glo:glo + take].tolist()),
                     Flag(int(codes[j])),
                 )
         if tr is not None:

@@ -124,7 +124,7 @@ class Scope:
     """One layer's named registry of instruments.
 
     ``state`` is host-only scratch for producers that need memory across
-    calls (e.g. the block engine's per-task quiescence mode tracking);
+    calls (e.g. the block engine's per-task fast/precise regime tracking);
     it is never snapshotted.
     """
 

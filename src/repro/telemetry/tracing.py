@@ -492,8 +492,9 @@ class TraceRecorder:
             st[_BUF].append(t)
 
     def chunk(self, task: "Task", rip: int, groups: int) -> None:
-        """Coarse span for one vectorized quiescent block chunk: the
-        fast path stamps the batch, never per-instruction detail."""
+        """Coarse span for one block chunk committed on the fast regime
+        (a run of groups none of which can fault under the current
+        masks): the batch is stamped, never per-instruction detail."""
         k = self.kernel
         c = k.cycles if k is not None else 0
         sid = self._next_id

@@ -23,9 +23,11 @@ from repro.fp.batchfloat import (
     execute_batch,
 )
 from repro.fp.formats import BINARY32, BINARY64
+from repro.fp.provenance import ProvenanceTracker
 from repro.fp.rounding import RoundingMode
 from repro.fp.softfloat import FPContext, SoftFPU
 from repro.isa.forms import InstructionForm, OpKind, form
+from repro.isa.instruction import CodeLayout
 
 _FPU = SoftFPU()
 
@@ -210,21 +212,38 @@ def test_batch_stats_account_lanes():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    fmt=st.sampled_from([BINARY32, BINARY64]),
+    mnemonic=st.sampled_from(["addsd", "addpd", "addss", "addps"]),
     data=st.data(),
-    n=st.integers(min_value=1, max_value=48),
+    ng=st.integers(min_value=1, max_value=12),
 )
-def test_special_lane_mask_matches_scalar_classification(fmt, data, n):
-    """The provenance pre-filter fires exactly on NaN, infinite and
-    subnormal lanes, and never on zeros or normals."""
+def test_provenance_scan_window_matches_scalar_classification(
+    mnemonic, data, ng
+):
+    """The provenance pre-scan of a batch window flags exactly the
+    groups with a NaN, infinite or subnormal operand or result lane --
+    plus a partial final group, whose padding it does not inspect --
+    and never a group of only zeros and normals."""
+    site = CodeLayout().site(mnemonic)
+    fmt, lanes = site.form.fmt, site.form.lanes
     bits = bits32 if fmt.width == 32 else bits64
-    specials = _SPECIALS32 if fmt.width == 32 else _SPECIALS64
-    lanes = specials + data.draw(st.lists(bits, min_size=n, max_size=n))
-    mask = batchfloat.special_lane_mask(fmt, np.array(lanes, np.uint64))
+    n = ng * lanes
+    ops = [data.draw(st.lists(bits, min_size=n, max_size=n)) for _ in "ab"]
+    res = data.draw(st.lists(bits, min_size=n, max_size=n))
+    last_take = data.draw(st.integers(min_value=1, max_value=lanes))
+    sus = ProvenanceTracker().scan_window(
+        site, tuple(np.array(o, np.uint64) for o in ops),
+        np.array(res, np.uint64), ng, lanes, last_take)
+
+    def special(b):
+        return fmt.is_nan(b) or fmt.is_inf(b) or fmt.is_subnormal(b)
+
     expected = [
-        fmt.is_nan(b) or fmt.is_inf(b) or fmt.is_subnormal(b) for b in lanes
+        any(special(a[i]) for a in (*ops, res)
+            for i in range(g * lanes, (g + 1) * lanes))
+        or (g == ng - 1 and last_take < lanes)
+        for g in range(ng)
     ]
-    assert mask.tolist() == expected
+    assert sus.tolist() == expected
 
 
 # ------------------------------------------------ EFT-first entry point

@@ -5,7 +5,9 @@ Each example streams random operands -- including NaNs, infinities,
 subnormals, and boundary magnitudes, i.e. lanes the vectorized EFTs
 cannot certify -- through one code site three ways:
 
-* ``blockexec=True``: the vectorized fast path (when quiescent);
+* ``blockexec=True``: the fast path, which commits every run of groups
+  that cannot fault under the current masks (under any capture set,
+  not only when every exception is masked) and precise-steps the rest;
 * ``blockexec=False``: the block's precise sub-step engine;
 * ``block=False``: the legacy one-``FPInstruction``-per-group stream,
   which is the ground-truth oracle.
@@ -13,18 +15,23 @@ cannot certify -- through one code site three ways:
 A drawn *capture set* of unmasked exceptions turns on an FPSpy
 individual-mode-style handler pair (SIGFPE masks-all and sets TF; the
 following SIGTRAP restores the capture set and clears TF), so examples
-exercise the quiescence transitions and fault-before-writeback replay,
-and the observable record -- results, fault/trap landing points in
-virtual time, sticky flags, cycle counts -- must match bit for bit.
+exercise the boundaries between committed runs and faulting groups and
+the fault-before-writeback replay.  FTZ, DAZ and the rounding mode are
+drawn alongside, so the execution window runs under every FP context.
+The observable record -- results, fault/trap landing points in virtual
+time, sticky flags, cycle counts -- must match bit for bit.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fp.mxcsr import DAZ_BIT, FTZ_BIT, MXCSR_DEFAULT, RC_SHIFT
+from repro.fp.rounding import RoundingMode
 from repro.guest.ops import LibcCall
 from repro.guest.program import KernelBuilder
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.signals import Signal
+from repro.loader.fenv import FEnv
 
 _SPECIALS64 = [
     0x0000000000000000, 0x8000000000000000,  # +-0
@@ -53,8 +60,17 @@ _FORMS64 = [
 #: mask bits are these shifted left 7).  Empty = stays quiescent.
 _CAPTURE_SETS = [0x00, 0x20, 0x1D, 0x3F]
 
+#: MXCSR control bits (FTZ, DAZ, rounding mode) the guest installs with
+#: ``fesetenv`` before unmasking its capture set.
+controls = st.builds(
+    lambda ftz, daz, rc: (FTZ_BIT if ftz else 0) | (DAZ_BIT if daz else 0)
+    | (int(rc) << RC_SHIFT),
+    st.booleans(), st.booleans(), st.sampled_from(list(RoundingMode)),
+)
 
-def _run(mnemonic, streams, interleave, capture, *, blockexec, block):
+
+def _run(mnemonic, streams, interleave, capture, control=0, *,
+         blockexec, block):
     """Execute the stream; return every architecturally observable fact."""
     kb = KernelBuilder()
     site = kb.site(mnemonic)
@@ -76,6 +92,8 @@ def _run(mnemonic, streams, interleave, capture, *, blockexec, block):
     def main():
         yield LibcCall("sigaction", (int(Signal.SIGFPE), on_fpe))
         yield LibcCall("sigaction", (int(Signal.SIGTRAP), on_trap))
+        if control:
+            yield LibcCall("fesetenv", (FEnv(mxcsr=MXCSR_DEFAULT | control),))
         if capture:
             yield LibcCall("feenableexcept", (capture,))
         out["results"] = yield from kb.emit(
@@ -103,20 +121,21 @@ def _run(mnemonic, streams, interleave, capture, *, blockexec, block):
     n=st.integers(min_value=1, max_value=24),
     interleave=st.sampled_from([0, 3]),
     capture=st.sampled_from(_CAPTURE_SETS),
+    control=controls,
 )
 def test_block_engine_bit_equivalent_to_instruction_stream(
-    form, data, n, interleave, capture
+    form, data, n, interleave, capture, control
 ):
     mnemonic, arity = form
     streams = [
         data.draw(st.lists(bits64, min_size=n, max_size=n))
         for _ in range(arity)
     ]
-    oracle = _run(mnemonic, streams, interleave, capture,
+    oracle = _run(mnemonic, streams, interleave, capture, control,
                   blockexec=False, block=False)
-    substep = _run(mnemonic, streams, interleave, capture,
+    substep = _run(mnemonic, streams, interleave, capture, control,
                    blockexec=False, block=True)
-    fast = _run(mnemonic, streams, interleave, capture,
+    fast = _run(mnemonic, streams, interleave, capture, control,
                 blockexec=True, block=True)
     assert substep == oracle
     assert fast == oracle
@@ -139,16 +158,19 @@ bits32 = st.one_of(
     data=st.data(),
     n=st.integers(min_value=1, max_value=12),
     capture=st.sampled_from([0x00, 0x3F]),
+    control=controls,
 )
 def test_non_vectorizable_forms_use_group_path_equivalently(
-    mnemonic, data, n, capture
+    mnemonic, data, n, capture, control
 ):
     """binary32 forms batch through the EFT-first entry point; same contract."""
     streams = [
         data.draw(st.lists(bits32, min_size=n, max_size=n)) for _ in range(2)
     ]
-    oracle = _run(mnemonic, streams, 2, capture, blockexec=False, block=False)
-    fast = _run(mnemonic, streams, 2, capture, blockexec=True, block=True)
+    oracle = _run(mnemonic, streams, 2, capture, control,
+                  blockexec=False, block=False)
+    fast = _run(mnemonic, streams, 2, capture, control,
+                blockexec=True, block=True)
     assert fast == oracle
 
 

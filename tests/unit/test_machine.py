@@ -281,6 +281,139 @@ class TestBlockExecution:
         assert proc.main_task.vtime >= 3 + 40 * 3
 
 
+class TestBlockCommitBoundary:
+    """Under an unmasked capture set the block engine commits the
+    non-faulting run around a faulting group: prefix in one step, a
+    precise fault before writeback at the group, suffix in one step --
+    all out of one execution window per FP context."""
+
+    N, FAULT = 10, 4  #: block length and the divide-by-zero group
+
+    def _setup(self, rounding_on_rearm=None):
+        from repro.fp.batchfloat import batch_stats
+        from repro.guest.ops import FPBlock
+        from repro.guest.program import KernelBuilder
+        from repro.loader.fenv import FE_DIVBYZERO
+
+        kb = KernelBuilder()
+        site = kb.site("divsd")
+        k = Kernel()
+        faults = []
+
+        def on_fpe(signo, info, uctx):
+            blk = k.current_task.pending_op
+            faults.append((info.addr, blk.index, len(blk.results)))
+            uctx.mcontext.mxcsr |= 0x1F80  # mask everything, single-step
+            uctx.mcontext.trap_flag = True
+
+        def on_trap(signo, info, uctx):
+            uctx.mcontext.mxcsr &= ~(FE_DIVBYZERO << 7)  # re-arm
+            if rounding_on_rearm is not None:
+                uctx.mcontext.mxcsr = (
+                    uctx.mcontext.mxcsr & ~0x6000) | rounding_on_rearm
+            uctx.mcontext.trap_flag = False
+
+        def main():
+            yield LibcCall("sigaction", (int(Signal.SIGFPE), on_fpe))
+            yield LibcCall("sigaction", (int(Signal.SIGTRAP), on_trap))
+            yield LibcCall("feenableexcept", (FE_DIVBYZERO,))
+            b = [b64(1.5)] * self.N
+            b[self.FAULT] = b64(0.0)
+            yield from kb.emit(site, [b64(3.0)] * self.N, b)
+
+        proc = k.exec_process(main, env={}, name="t")
+        task = proc.main_task
+        while not isinstance(task.pending_op, FPBlock):
+            batches = batch_stats()["batches"]
+            assert k.cpu.step(task)
+        return k, task, site, faults, batches
+
+    def test_prefix_fault_suffix(self):
+        from repro.fp.batchfloat import batch_stats
+
+        k, task, site, faults, batches = self._setup()
+        block = task.pending_op
+        # 1. The step that fetched the block committed the whole prefix.
+        assert block.index == self.FAULT and not block.fp_done
+        assert k.cpu.step_cost == self.FAULT
+        assert block.results == [b64(2.0)] * self.FAULT
+        window = block._window
+        # 2. The next step faults before writeback, cursor parked.
+        assert k.cpu.step(task)
+        assert block.index == self.FAULT
+        assert len(block.results) == self.FAULT
+        assert [s.addr for s in task.pending_signals] == [site.address]
+        # The handler pair runs and the group retires under the masks.
+        assert k.cpu.step(task)
+        assert faults == [(site.address, self.FAULT, self.FAULT)]
+        assert block.index == self.FAULT + 1
+        assert not task.trap_flag
+        # 3. With the capture set re-armed, the suffix commits in one step.
+        assert k.cpu.step(task)
+        assert task.pending_op is None
+        assert k.cpu.step_cost == self.N - self.FAULT - 1
+        expected = [b64(2.0)] * self.N
+        expected[self.FAULT] = 0x7FF0000000000000  # +inf, masked re-run
+        assert task.send_value == expected
+        # 4. One execute_batch call served the whole block.
+        assert block._window is window
+        assert batch_stats()["batches"] - batches == 1
+
+    def test_rounding_change_recomputes_window(self):
+        from repro.fp.batchfloat import batch_stats
+        from repro.fp.rounding import RoundingMode
+
+        k, task, site, faults, batches = self._setup(
+            rounding_on_rearm=int(RoundingMode.DOWN) << 13)
+        block = task.pending_op
+        first = block._window
+        for _ in range(3):  # fault, handler pair + re-run, suffix
+            assert k.cpu.step(task)
+        assert task.pending_op is None and len(faults) == 1
+        # 5. The suffix ran from a new window under the new context.
+        assert block._window is not first
+        assert block._window.start == self.FAULT + 1
+        assert block._window.ctx.rmode is RoundingMode.DOWN
+        assert batch_stats()["batches"] - batches == 2
+
+
+class TestBlockTinyCorner:
+    def test_exact_tiny_group_faults_inside_a_committed_run(self):
+        """With UM unmasked an *exact* tiny result traps although it
+        raises no flag: the block engine must stop its non-faulting run
+        there, exactly like the per-instruction stream."""
+        from repro.guest.program import KernelBuilder
+        from repro.kernel.kernel import KernelConfig
+        from repro.kernel.signals import SiCode
+        from repro.loader.fenv import FE_UNDERFLOW
+
+        def run_block(blockexec):
+            kb = KernelBuilder()
+            site = kb.site("mulsd")
+            k = Kernel(KernelConfig(blockexec=blockexec))
+            faults = []
+
+            def handler(signo, info, uctx):
+                faults.append((info.code, k.current_task.pending_op.index,
+                               k.cycles))
+                uctx.mcontext.mxcsr |= 0x1F80
+
+            def main():
+                yield LibcCall("sigaction", (int(Signal.SIGFPE), handler))
+                yield LibcCall("feenableexcept", (FE_UNDERFLOW,))
+                b = [b64(1.5)] * 8
+                b[5] = 1  # 2 * min-denormal: exact, but tiny
+                yield from kb.emit(site, [b64(2.0)] * 8, b)
+
+            proc = k.exec_process(main, env={}, name="t")
+            k.run()
+            return faults, proc.main_task.mxcsr.value, k.cycles
+
+        fast = run_block(True)
+        assert [f[:2] for f in fast[0]] == [(int(SiCode.FPE_FLTUND), 5)]
+        assert fast == run_block(False)
+
+
 class TestStickyAcrossInstructions:
     def test_status_accumulates_masked(self):
         layout = CodeLayout()
