@@ -1,10 +1,13 @@
 """Shared fixtures for the figure-regeneration benchmarks.
 
 The full four-pass study is expensive (tens of seconds), so it runs once
-per session; the per-figure benchmarks then time the trace analysis and
-rendering for their figure and assert the paper's qualitative shape.
-Benchmarks that need dedicated runs (Figure 6's overhead sweep, Figure
-10's per-benchmark runs) use ``benchmark.pedantic`` with a single round.
+per session; the per-figure benchmarks then time the rendering for
+their figure and assert the paper's qualitative shape.  Figures 7-9,
+11, 14, 15 and 17-19 render through their analytics registry generator
+(:func:`paper_frame`); 12, 13 and 16 through the live renderers in
+:mod:`repro.study.figures`.  Benchmarks that need dedicated runs
+(Figure 6's overhead sweep, Figure 10's per-benchmark runs) use
+``benchmark.pedantic`` with a single round.
 """
 
 from pathlib import Path
@@ -56,3 +59,24 @@ def write_results(path, metrics: dict, gates: dict | None = None) -> None:
 @pytest.fixture(scope="session")
 def study():
     return get_study(BENCH_SCALE, BENCH_SEED)
+
+
+def paper_frame(benchmark, name: str, ctx):
+    """Time registry figure ``name`` over the analytics context ``ctx``
+    (``study.context()``); print and return its frame."""
+    from repro.analytics import all_figures
+
+    (fdef,) = all_figures(names=[name])
+    fig = benchmark(fdef.fn, ctx)
+    print("\n" + fig.to_text())
+    return fig.frame
+
+
+def event_table(frame) -> dict[str, set[str]]:
+    """A ``(code, event, present)`` frame as ``{code: events present}``."""
+    table: dict[str, set[str]] = {}
+    for row in frame.rows:
+        events = table.setdefault(row["code"], set())
+        if row["present"]:
+            events.add(row["event"])
+    return table

@@ -1,13 +1,12 @@
 """Figure 7: application/benchmark inventory and unencumbered exec time."""
 
-from repro.study.figures import fig07_inventory
+from benchmarks.conftest import paper_frame
 from repro.study.targets import TARGET_NAMES
 
 
 def test_fig07_inventory(benchmark, study):
-    result = benchmark(fig07_inventory, study)
-    print("\n" + result.text)
-    rows = {r["name"]: r for r in result.data["rows"]}
+    frame = paper_frame(benchmark, "fig07_inventory", study.context())
+    rows = {r["name"]: r for r in frame.rows}
     assert set(rows) == set(TARGET_NAMES)
     # Dependency and problem columns match the paper's table.
     assert rows["LAGHOS"]["dependencies"] == "hypre, METIS, MFEM, MPI"

@@ -1,12 +1,20 @@
 """Figure 8: static source-code analysis of intercepted symbols."""
 
-from repro.study.figures import FIG8_SYMBOLS, fig08_source_analysis
+from benchmarks.conftest import paper_frame
+from repro.analytics import AnalyticsContext
+from repro.analytics.figures_paper import FIG8_SYMBOLS
 
 
 def test_fig08_source_analysis(benchmark):
-    result = benchmark(fig08_source_analysis)
-    print("\n" + result.text)
-    rows = result.data["rows"]
+    # Static inventory: no campaign needed.
+    frame = paper_frame(
+        benchmark, "fig08_source_analysis", AnalyticsContext())
+    rows: dict[str, list[str]] = {}
+    for r in frame.rows:
+        symbols = rows.setdefault(r["code"], [])
+        if r["present"]:
+            symbols.append(r["symbol"])
+    rows = {code: sorted(symbols) for code, symbols in rows.items()}
 
     # The paper's exact per-code inventories.
     assert rows["Miniaero"] == []

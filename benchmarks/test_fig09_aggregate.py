@@ -1,6 +1,6 @@
 """Figure 9: aggregate-mode tracing event table for the applications."""
 
-from repro.study.figures import fig09_aggregate
+from benchmarks.conftest import event_table, paper_frame
 
 #: The paper's Figure 9, row by row.
 PAPER_FIG9 = {
@@ -18,9 +18,8 @@ PAPER_FIG9 = {
 
 
 def test_fig09_aggregate(benchmark, study):
-    result = benchmark(fig09_aggregate, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+    table = event_table(
+        paper_frame(benchmark, "fig09_aggregate", study.context()))
     for name, expected in PAPER_FIG9.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

@@ -1,6 +1,6 @@
 """Figure 11: individual-mode tracing with filtering (no Inexact)."""
 
-from repro.study.figures import fig11_filtered
+from benchmarks.conftest import event_table, paper_frame
 
 #: The paper's Figure 11 (full instruction coverage, Inexact untracked).
 PAPER_FIG11 = {
@@ -18,9 +18,8 @@ PAPER_FIG11 = {
 
 
 def test_fig11_filtered(benchmark, study):
-    result = benchmark(fig11_filtered, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+    table = event_table(
+        paper_frame(benchmark, "fig11_filtered", study.context()))
     for name, expected in PAPER_FIG11.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

@@ -6,7 +6,7 @@ sampling *misses* Miniaero's and GROMACS's rare Denorm/Underflow
 clusters and LAGHOS's Underflow phase.
 """
 
-from repro.study.figures import fig14_sampled
+from benchmarks.conftest import event_table, paper_frame
 
 #: The paper's Figure 14.
 PAPER_FIG14 = {
@@ -24,9 +24,8 @@ PAPER_FIG14 = {
 
 
 def test_fig14_sampled(benchmark, study):
-    result = benchmark(fig14_sampled, study)
-    print("\n" + result.text)
-    table = result.data["table"]
+    table = event_table(
+        paper_frame(benchmark, "fig14_sampled", study.context()))
     for name, expected in PAPER_FIG14.items():
-        got = {c for c, present in table[name].items() if present}
+        got = table[name]
         assert got == expected, f"{name}: {sorted(got)} != {sorted(expected)}"

@@ -7,13 +7,12 @@ Absolute numbers are scaled down with the workloads; the orderings are
 the reproduced shape.
 """
 
-from repro.study.figures import fig15_inexact_counts
+from benchmarks.conftest import paper_frame
 
 
 def test_fig15_inexact_counts(benchmark, study):
-    result = benchmark(fig15_inexact_counts, study)
-    print("\n" + result.text)
-    rows = {r["name"]: r for r in result.data["rows"]}
+    frame = paper_frame(benchmark, "fig15_inexact_counts", study.context())
+    rows = {r["name"]: r for r in frame.rows}
     rate = {n: rows[n]["rate"] for n in rows}
     count = {n: rows[n]["count"] for n in rows}
 

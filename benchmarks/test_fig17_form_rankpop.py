@@ -5,13 +5,12 @@ use 20 or fewer; the distribution is heavily skewed, with fewer than ~5
 forms covering >99% of rounding for most codes.
 """
 
-from repro.study.figures import fig17_form_rankpop
+from benchmarks.conftest import paper_frame
 
 
 def test_fig17_form_rankpop(benchmark, study):
-    result = benchmark(fig17_form_rankpop, study)
-    print("\n" + result.text)
-    stats = result.data["stats"]
+    frame = paper_frame(benchmark, "fig17_form_rankpop", study.context())
+    stats = {r["code"]: r for r in frame.rows}
     assert stats, "no rounding records found"
 
     n_forms = {c: s["n_forms"] for c, s in stats.items()}

@@ -5,18 +5,17 @@ for all rounding; more commonly <2000; and the distribution is so skewed
 that a small head of sites covers >99% of rounding events.
 """
 
-from repro.study.figures import fig19_addr_rankpop
+from benchmarks.conftest import paper_frame
 
 
 def test_fig19_addr_rankpop(benchmark, study):
-    result = benchmark(fig19_addr_rankpop, study)
-    print("\n" + result.text)
-    stats = result.data["stats"]
+    frame = paper_frame(benchmark, "fig19_addr_rankpop", study.context())
+    stats = {r["code"]: r for r in frame.rows}
     assert stats
 
     # Bounded site counts (scaled: our binaries have hundreds of static
     # FP sites where the real ones have thousands).
-    assert result.data["max_sites"] < 5000
+    assert max(s["n_addresses"] for s in stats.values()) < 5000
 
     # Heavy skew: for most codes, a small head of sites covers >99% of
     # the rounding events -- the trap-and-emulate feasibility property.

@@ -1,12 +1,11 @@
 """Shared figure-data extraction over individual trace records.
 
-The paper's evaluation figures are computed twice in this repo: live
-from a :class:`~repro.study.passes.Study` (the ``benchmarks/test_fig*``
-suite) and offline from campaign artifacts (:mod:`repro.analytics`).
-Both paths must agree to the declared tolerances, so the distilling
-steps -- per-event record counts, per-code rank-popularity inputs, and
-the coverage statistics computed from them -- live here, importable by
-either side without dragging in the other.
+Every campaign run -- a pool worker's, the coordinator's in-process
+fallback, or the in-memory study's -- distils its traces here
+(:func:`repro.campaign.worker.distill_run`): per-event record counts
+and per-code rank-popularity inputs.  The ``paper`` figure group
+(:mod:`repro.analytics.figures_paper`) merges those per-run inputs and
+computes the coverage statistics with the functions below.
 
 Everything in this module is a pure function of its inputs and returns
 deterministically-ordered data (ties broken by key), so campaign-side
@@ -83,15 +82,6 @@ def _sorted_pairs(counter: Mapping) -> tuple[tuple, ...]:
     return tuple(sorted(counter.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def merge_count_pairs(pair_lists: Iterable[Iterable]) -> Counter:
-    """Sum ``(key, count)`` pair collections from several runs."""
-    merged: Counter = Counter()
-    for pairs in pair_lists:
-        for key, count in pairs:
-            merged[key] += count
-    return merged
-
-
 def rankpop_from_pairs(pairs: Iterable) -> RankPopularity:
     """A :class:`RankPopularity` with deterministic tie order.
 
@@ -119,9 +109,8 @@ def merge_rankpop_inputs(inputs: Iterable[Iterable]) -> tuple[tuple, ...]:
     """Merge :func:`code_rankpop_inputs` outputs from several runs.
 
     Form sets union; count pairs sum.  Merging the distilled inputs is
-    exactly equivalent to distilling the concatenated records, so the
-    campaign path (merge per-run inputs) and the study path (distil
-    pooled records) agree bit for bit.
+    exactly equivalent to distilling the concatenated records, so a
+    figure over many runs does not depend on how they were split.
     """
     forms: dict[str, set] = {}
     form_counts: dict[str, Counter] = {}

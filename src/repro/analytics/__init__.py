@@ -6,9 +6,10 @@ paper's evaluation figures and fleet/trajectory dashboards -- each one
 a Vega-Lite spec plus a companion CSV, rendered into a self-contained
 static HTML index.  Three figure groups:
 
-* ``paper``      -- the Figure 6-19 family regenerated offline from a
-  campaign directory, sharing extraction code with the live
-  ``benchmarks/test_fig*`` suite (:mod:`repro.analysis.extract`);
+* ``paper``      -- Figures 7-9, 11, 14, 15 and 17-19 from a campaign
+  result, on disk or the in-memory study (the only implementation of
+  these figures; 6, 10, 12, 13 and 16 stay live in
+  :mod:`repro.study.figures`);
 * ``fleet``      -- per-workload event rates, kill sites, provenance
   league tables, and daemon job statistics across campaign dirs;
 * ``trajectory`` -- BENCH history as a perf dashboard with per-gate

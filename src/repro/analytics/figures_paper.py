@@ -1,17 +1,18 @@
-"""The ``paper`` figure group: Figures 7-19 from campaign artifacts.
+"""The ``paper`` figure group: Figures 7-9, 11, 14, 15 and 17-19.
 
-Each generator reads **only** the deterministic section of a campaign
-result (plus static target metadata), so its frame is byte-identical
-no matter which host, worker count, or completion order produced the
-campaign.  Extraction semantics are shared with the live benchmark
-suite through :mod:`repro.analysis.extract` -- the benchmarks distil a
-:class:`~repro.study.passes.Study`, these distil the per-run rollups
-the workers shipped in ``campaign.json``, and the two agree to the
-declared tolerances (``tests/integration/test_analytics_figures.py``).
+This is the only implementation of these figures.  Each generator reads
+**only** the deterministic section of a campaign result (plus static
+target metadata), so its frame is byte-identical no matter which host,
+worker count, or completion order produced the campaign -- and no
+matter whether that result was reloaded from ``campaign.json`` or is
+the in-memory study (:func:`repro.study.passes.get_study`, the builtin
+``figures`` campaign run in-process), which is what the benchmarks,
+``repro.study report`` and ``repro.study figures`` render from.  The
+distilling steps live in :mod:`repro.analysis.extract`.
 
 Figures needing data that campaigns do not persist (6's dedicated
 overhead sweep, 10's per-PARSEC-benchmark runs, 12/13/16's raw
-timelines) stay live-only and are skipped here by design.
+timelines) stay live-only in :mod:`repro.study.figures`.
 """
 
 from __future__ import annotations
@@ -72,12 +73,23 @@ def fig07_inventory(ctx) -> Figure | None:
     return Figure(frame=frame, spec=spec)
 
 
+#: Column order of the paper's Figure 8.
+FIG8_SYMBOLS: tuple[str, ...] = (
+    "fork", "clone", "pthread_create", "pthread_exit", "signal",
+    "sigaction", "feenableexcept", "fedisableexcept", "fegetexcept",
+    "feclearexcept", "fegetexceptflag", "feraiseexcept",
+    "fesetexceptflag", "fetestexcept", "fegetround", "fesetround",
+    "fegetenv", "feholdexcept", "fesetenv", "feupdateenv",
+    "uc_mcontext.fpregs", "uc_mcontext.fpregs->mxcsr", "REG_EFL",
+    "SIGTRAP", "SIGFPE", "FE_",
+)
+
+
 @register_figure(
     "fig08_source_analysis", group="paper",
     title="Source code analysis (Figure 8)")
 def fig08_source_analysis(ctx) -> Figure:
     """Which intercepted symbols appear in each code (static)."""
-    from repro.study.figures import FIG8_SYMBOLS
     from repro.study.targets import make_targets
 
     targets = make_targets()

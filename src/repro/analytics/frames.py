@@ -53,6 +53,44 @@ class Frame:
                 _csv_cell(row.get(c)) for c in self.columns))
         return ("\n".join(lines) + "\n").encode("utf-8")
 
+    def to_text(self, pivot: tuple[str, str, str] | None = None) -> str:
+        """The frame as an aligned plain-text table (the study report).
+
+        With ``pivot=(row, column, value)`` a long-form frame prints as
+        a grid instead: one line per distinct ``row`` cell, one column
+        per distinct ``column`` cell, first-seen order.  Booleans print
+        as ``T``/``f``, numbers right-aligned.  A grid too wide for one
+        screen numbers its columns under a legend line.
+        """
+        lines = []
+        if pivot is None:
+            header = list(self.columns)
+            body = [[row.get(c) for c in self.columns] for row in self.rows]
+        else:
+            row_key, col_key, value_key = pivot
+            cols = list(dict.fromkeys(self.column(col_key)))
+            grid: dict = {}
+            for row in self.rows:
+                grid.setdefault(row[row_key], {})[row[col_key]] = \
+                    row[value_key]
+            header = [""] + [str(c) for c in cols]
+            if sum(len(h) + 2 for h in header) > 100:
+                lines.append("columns: " + ", ".join(
+                    f"{i}={c}" for i, c in enumerate(header[1:])))
+                header = [""] + [str(i) for i in range(len(cols))]
+            body = [[name] + [cells.get(c) for c in cols]
+                    for name, cells in grid.items()]
+        numeric = [
+            all(v is None or _is_number(v) for v in col)
+            for col in zip(*body)] if body else [False] * len(header)
+        texts = [[_display_cell(v) for v in r] for r in body]
+        widths = [max(map(len, col)) for col in zip(header, *texts)]
+        for cells in [header] + texts:
+            lines.append("  ".join(
+                c.rjust(w) if num else c.ljust(w)
+                for c, w, num in zip(cells, widths, numeric)).rstrip())
+        return "\n".join(lines) + "\n"
+
     def to_records(self) -> list[dict]:
         """JSON-safe row dicts in column order (Vega-Lite inline data)."""
         return [
@@ -90,6 +128,18 @@ def _text_cell(value) -> str:
     return str(value)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _display_cell(value) -> str:
+    if isinstance(value, bool):
+        return "T" if value else "f"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return "" if value is None else str(value)
+
+
 def _json_cell(value):
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
@@ -103,3 +153,11 @@ class Figure:
     frame: Frame
     spec: dict
     notes: str = ""
+
+    def to_text(self) -> str:
+        """The frame as text; a heatmap spec's frame as its T/f grid."""
+        if self.spec.get("mark") != "rect":
+            return self.frame.to_text()
+        enc = self.spec["encoding"]
+        return self.frame.to_text(
+            (enc["y"]["field"], enc["x"]["field"], enc["color"]["field"]))

@@ -50,6 +50,21 @@ class CampaignData:
         result_path = os.path.join(path, RESULT_FILE)
         with open(result_path, encoding="utf-8") as fh:
             result = json.load(fh)
+        return cls.from_result(
+            result,
+            path=path,
+            report_text=_read_text(os.path.join(path, REPORT_FILE)),
+            status=_read_json(os.path.join(path, STATUS_FILE)),
+            manifest=_read_json(os.path.join(path, MANIFEST_FILE)),
+        )
+
+    @classmethod
+    def from_result(
+        cls, result: dict, path: str = "", **files,
+    ) -> "CampaignData":
+        """A campaign from its merged result dict (``campaign.json``'s
+        content, or ``CampaignResult.to_dict()`` still in memory);
+        ``files`` fills the optional side-file fields."""
         det = result.get("deterministic", {})
         return cls(
             path=path,
@@ -58,9 +73,7 @@ class CampaignData:
             runs=list(det.get("runs", [])),
             event_union=list(det.get("event_union", [])),
             provenance=list(det.get("provenance", [])),
-            report_text=_read_text(os.path.join(path, REPORT_FILE)),
-            status=_read_json(os.path.join(path, STATUS_FILE)),
-            manifest=_read_json(os.path.join(path, MANIFEST_FILE)),
+            **files,
         )
 
     # ------------------------------------------------------- run access
@@ -91,8 +104,7 @@ class CampaignData:
         """Merged per-code rank-popularity inputs across ``modes``.
 
         Merging per-run distilled inputs is exactly equivalent to
-        distilling the pooled records (:mod:`repro.analysis.extract`),
-        so this matches the live study path used by the benchmarks.
+        distilling the pooled records (:mod:`repro.analysis.extract`).
         """
         per_run = [
             r["rankpop"] for mode in modes for r in self.runs_by_mode(mode)

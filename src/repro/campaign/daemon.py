@@ -37,7 +37,7 @@ from collections import deque
 from repro.campaign.artifacts import ArtifactStore, write_json_atomic
 from repro.campaign.pool import WorkerPool
 from repro.campaign.runner import REPORT_FILE, CampaignRunner
-from repro.campaign.spec import CampaignSpec, build_campaign
+from repro.campaign.spec import CampaignSpec, builtin_campaign
 
 #: Queue-wide admission bound: beyond this, every submit gets 503.
 MAX_QUEUE = 64
@@ -199,15 +199,11 @@ class CampaignDaemon:
         if isinstance(campaign, str):
             return CampaignSpec.from_json(campaign)
         if isinstance(campaign, dict) and "builtin" in campaign:
-            d = dict(campaign)
-            return build_campaign(
-                d.pop("builtin"),
-                scale=d.pop("scale", None), seed=d.pop("seed", None),
-                telemetry=d.pop("telemetry", None),
-                tracing=d.pop("tracing", None))
+            return builtin_campaign(campaign)
         if isinstance(campaign, dict):
-            return CampaignSpec.from_json(json.dumps(campaign))
-        raise ValueError(f"cannot interpret campaign {type(campaign)!r}")
+            return CampaignSpec.from_dict(campaign)
+        raise ValueError(
+            f"cannot interpret campaign {type(campaign).__name__!r}")
 
     # ----------------------------------------------------------- polling
 
@@ -485,7 +481,8 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
                 return None
             try:
                 body = json.loads(self.rfile.read(length).decode() or "{}")
-            except ValueError:
+            except (ValueError, RecursionError):
+                # RecursionError: nesting deeper than the parser's stack.
                 self._reply(400, {"error": "body is not JSON"})
                 return None
             if not isinstance(body, dict):
@@ -547,10 +544,12 @@ def serve_http(daemon: CampaignDaemon, host: str = "127.0.0.1",
             if body is None:
                 return
             if path == "/submit":
+                submitter = body.get("submitter", "anon")
                 try:
+                    if not isinstance(submitter, str):
+                        raise ValueError("submitter must be a string")
                     ticket = daemon.submit(
-                        body.get("campaign"),
-                        submitter=body.get("submitter", "anon"))
+                        body.get("campaign"), submitter=submitter)
                 except AdmissionError as exc:
                     self._reply(exc.code, {"error": exc.reason})
                 except (ValueError, KeyError) as exc:

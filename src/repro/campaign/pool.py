@@ -43,8 +43,11 @@ def pool_worker_main(worker_id: int, task_q, result_q) -> None:
 
     Messages on ``task_q`` (coordinator -> worker):
 
-    * ``("campaign", key, campaign_json, trace_dir)`` -- cache a parsed
-      campaign under ``key`` for later batches.
+    * ``("campaign", key, campaign, trace_dir)`` -- cache a
+      :class:`CampaignSpec` under ``key`` for later batches.  It is the
+      coordinator's own (already trusted) spec, pickled, so a run the
+      submit-time validation would refuse can still reach a worker and
+      poison it, which is what the crash isolation below is for.
     * ``("batch", key, batch_id, indices)`` -- execute each index of the
       cached campaign in order, streaming one ``run`` message per run
       and a ``batch_done`` at the end.
@@ -67,8 +70,8 @@ def pool_worker_main(worker_id: int, task_q, result_q) -> None:
         if kind == "quit":
             break
         if kind == "campaign":
-            _, key, campaign_json, trace_dir = msg
-            campaigns[key] = (CampaignSpec.from_json(campaign_json), trace_dir)
+            _, key, campaign, trace_dir = msg
+            campaigns[key] = (campaign, trace_dir)
             continue
         _, key, batch_id, indices = msg
         campaign, trace_dir = campaigns[key]
@@ -191,12 +194,12 @@ class WorkerPool:
     # --------------------------------------------------------- dispatch
 
     def send_campaign(
-        self, w: PoolWorker, key: str, campaign_json: str,
+        self, w: PoolWorker, key: str, campaign: CampaignSpec,
         trace_dir: str | None,
     ) -> None:
         """Ensure ``w`` holds the campaign before its first batch of it."""
         if key not in w.campaigns:
-            w.task_q.put(("campaign", key, campaign_json, trace_dir))
+            w.task_q.put(("campaign", key, campaign, trace_dir))
             w.campaigns.add(key)
 
     def send_batch(

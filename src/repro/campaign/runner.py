@@ -192,7 +192,6 @@ class CampaignRunner:
         spawned_before = pool.stats["spawned_total"]
 
         key = campaign.spec_hash
-        campaign_json = campaign.to_json()
         batches: deque = deque(
             (bid, indices)
             for bid, indices in enumerate(plan_batches(n, plan.batch_size)))
@@ -247,7 +246,7 @@ class CampaignRunner:
                 if not batches:
                     return
                 bid, indices = batches.popleft()
-                pool.send_campaign(w, key, campaign_json, trace_dir)
+                pool.send_campaign(w, key, campaign, trace_dir)
                 pool.send_batch(w, key, bid, indices)
                 inflight[bid] = _BatchState(
                     id=bid, indices=indices, worker=w.id)

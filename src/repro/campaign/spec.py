@@ -21,7 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.study.passes import pass_variant
 from repro.study.targets import TARGET_NAMES
@@ -53,7 +54,54 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
-        return cls(**d)
+        """A validated spec from its JSON form.
+
+        Raises ``ValueError`` on a non-object, an unknown or missing
+        key, a mistyped value, or an unknown app or pass, so a bad
+        submission is refused before it is queued.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(
+                f"run spec must be an object, not {type(d).__name__}")
+        _check_fields(d, required=("app",))
+        spec = cls(**d)
+        if spec.app not in TARGET_NAMES:
+            raise ValueError(
+                f"unknown campaign target {spec.app!r}; "
+                f"choose from {sorted(TARGET_NAMES)}")
+        if spec.mode not in PASS_NAMES:
+            raise ValueError(
+                f"unknown campaign pass {spec.mode!r}; "
+                f"choose from {PASS_NAMES}")
+        return spec
+
+
+#: JSON value types each annotated :class:`RunSpec` field type accepts.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float),
+               "bool": (bool,)}
+
+
+def _check_fields(d: dict, required: tuple[str, ...] = ()) -> None:
+    """Raise ``ValueError`` unless ``d`` holds only well-typed
+    :class:`RunSpec` fields and every ``required`` one."""
+    types = {f.name: _JSON_TYPES[f.type] for f in fields(RunSpec)}
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ValueError(f"unknown run spec keys {unknown}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"run spec is missing {missing}")
+    for key, value in d.items():
+        want = types[key]
+        # bool is an int subclass; only a bool field takes one.
+        if not isinstance(value, want) or (
+                isinstance(value, bool) and bool not in want):
+            raise ValueError(
+                f"run spec {key!r} must be {want[-1].__name__}, "
+                f"not {type(value).__name__}")
+        if float in want and not abs(value) <= sys.float_info.max:
+            # NaN, infinities, and ints no float can hold.
+            raise ValueError(f"run spec {key!r} must be a finite number")
 
 
 @dataclass(frozen=True)
@@ -74,7 +122,22 @@ class CampaignSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CampaignSpec":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise ValueError("campaign spec nests too deeply") from None
+        return cls.from_dict(d)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "CampaignSpec":
+        """A validated campaign; ``ValueError`` on any malformed part."""
+        if not isinstance(d, dict) or set(d) != {"name", "runs"}:
+            raise ValueError(
+                "campaign spec must be an object with exactly the keys "
+                "'name' and 'runs'")
+        if not isinstance(d["name"], str) or not isinstance(d["runs"], list):
+            raise ValueError(
+                "campaign 'name' must be a string and 'runs' a list")
         return cls(
             name=d["name"],
             runs=tuple(RunSpec.from_dict(r) for r in d["runs"]),
@@ -174,6 +237,28 @@ BUILTIN_CAMPAIGNS = {
     "figbench": figbench_campaign,
     "figures": figures_campaign,
 }
+
+
+def builtin_campaign(ref: dict) -> CampaignSpec:
+    """Resolve a ``{"builtin": name, ...overrides}`` reference.
+
+    Only :data:`BUILTIN_CAMPAIGNS` names resolve -- never a file path,
+    so a remote submitter cannot make the daemon read host files -- and
+    the ``scale``/``seed``/``telemetry``/``tracing`` overrides are
+    type-checked like run spec fields.  Raises ``ValueError``.
+    """
+    overrides = dict(ref)
+    name = overrides.pop("builtin")
+    if not isinstance(name, str) or name not in BUILTIN_CAMPAIGNS:
+        raise ValueError(
+            f"unknown builtin campaign {name!r}; choose from "
+            f"{sorted(BUILTIN_CAMPAIGNS)}")
+    unknown = set(overrides) - {"scale", "seed", "telemetry", "tracing"}
+    if unknown:
+        raise ValueError(
+            f"unknown builtin campaign overrides {sorted(unknown)}")
+    _check_fields(overrides)
+    return BUILTIN_CAMPAIGNS[name]().with_overrides(**overrides)
 
 
 def build_campaign(

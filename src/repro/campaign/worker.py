@@ -3,7 +3,11 @@
 :func:`execute_run` is the single execution path shared by every
 campaign strategy -- the warm worker pool's batch loop
 (:mod:`repro.campaign.pool`), the adaptive in-process fallback in the
-coordinator, and direct use from tests and notebooks.  Each run gets a
+coordinator, and direct use from tests and notebooks.  It is
+:func:`run_spec` (``StudyTarget.run`` under the spec's pass and engine
+switches) followed by :func:`distill_run`; the in-memory study
+(:func:`repro.study.passes.get_study`) calls the two halves itself so
+it can keep each run's traces.  Each run gets a
 **fresh** :class:`~repro.kernel.kernel.Kernel` (no simulated state
 crosses runs -- only the host process's in-memory outcome memo in
 :mod:`repro.isa.semantics`, which is architecturally invisible), and
@@ -19,10 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 from dataclasses import asdict, dataclass, field
 
 from repro.campaign.spec import PASS_NAMES, RunSpec
+from repro.study.targets import RunResult
 
 
 @dataclass
@@ -90,14 +94,14 @@ def execute_run(
     artifact (``runNNNN.spans.bin``) directly; without it the span
     bytes are discarded after the tallies are taken.
     """
-    from repro.analysis.extract import code_rankpop_inputs, per_event_counts
-    from repro.fp.flags import flags_to_events
-    from repro.kernel.kernel import Kernel, KernelConfig
+    return distill_run(index, spec, run_spec(spec), trace_dir)
+
+
+def run_spec(spec: RunSpec) -> RunResult:
+    """Run ``spec``'s target under its pass and engine switches."""
+    from repro.kernel.kernel import KernelConfig
     from repro.study.passes import pass_env
     from repro.study.targets import make_targets
-    from repro.telemetry.procfs import PROC_ROOT
-    from repro.telemetry.tracing import to_binary
-    from repro.trace.reader import TraceSet
 
     targets = make_targets()
     if spec.app not in targets:
@@ -107,31 +111,34 @@ def execute_run(
     if spec.mode not in PASS_NAMES:
         raise ValueError(
             f"unknown campaign pass {spec.mode!r}; choose from {PASS_NAMES}")
+    return targets[spec.app].run(
+        pass_env(spec.mode), spec.scale, spec.variant, spec.seed,
+        config=KernelConfig(
+            blockexec=spec.blockexec,
+            trapfast=spec.trapfast,
+            telemetry=spec.telemetry,
+            tracing=spec.tracing,
+        ))
 
-    env = pass_env(spec.mode)
-    kernel = Kernel(KernelConfig(
-        blockexec=spec.blockexec,
-        trapfast=spec.trapfast,
-        telemetry=spec.telemetry,
-        tracing=spec.tracing,
-    ))
-    t0 = time.perf_counter()
-    targets[spec.app].launch(kernel, env, spec.scale, spec.variant, spec.seed)
-    kernel.run()
-    host_seconds = time.perf_counter() - t0
 
-    procs = list(kernel.processes.values())
-    freq = kernel.config.freq_hz
-    user = sum(t.utime_cycles for p in procs for t in p.tasks.values()) / freq
-    system = sum(t.stime_cycles for p in procs for t in p.tasks.values()) / freq
+def distill_run(
+    index: int, spec: RunSpec, run: RunResult, trace_dir: str | None = None,
+) -> RunOutcome:
+    """The compact, picklable :class:`RunOutcome` of a finished run."""
+    # Through the module attribute, looked up per call, so a profiler
+    # that wraps these functions sees every call.
+    from repro.analysis import extract
+    from repro.fp.flags import flags_to_events
+    from repro.telemetry.procfs import PROC_ROOT
+    from repro.telemetry.tracing import to_binary
 
-    traces = TraceSet.from_vfs(kernel.vfs)
+    kernel, traces = run.kernel, run.traces
     # Figure-grade distillation (repro.analytics): each run ships the
     # per-event record counts and per-code rank-popularity inputs, so
     # the paper's evaluation figures regenerate from campaign.json
     # without the raw trace bytes ever leaving the worker.
-    event_counts = per_event_counts(traces.all_records())
-    rankpop = code_rankpop_inputs(traces.records_by_app())
+    event_counts = extract.per_event_counts(traces.all_records())
+    rankpop = extract.code_rankpop_inputs(traces.records_by_app())
     digest = []
     for path in kernel.vfs.listdir(""):
         if path.startswith(PROC_ROOT):
@@ -153,11 +160,11 @@ def execute_run(
         label=spec.label,
         status="ok",
         cycles=kernel.cycles,
-        wall_seconds=kernel.now_seconds,
-        user_seconds=user,
-        system_seconds=system,
-        host_seconds=host_seconds,
-        killed=any(p.killed_by is not None for p in procs),
+        wall_seconds=run.wall_seconds,
+        user_seconds=run.user_seconds,
+        system_seconds=run.system_seconds,
+        host_seconds=run.host_seconds,
+        killed=run.any_killed,
         events=tuple(flags_to_events(traces.event_union())),
         aggregate_records=len(traces.aggregate),
         individual_records=traces.count(),

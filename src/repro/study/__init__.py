@@ -18,13 +18,7 @@ from repro.study.targets import (
     TARGET_NAMES,
 )
 from repro.study.passes import (
-    StudyPass,
-    PassResult,
-    run_pass,
-    run_aggregate_pass,
-    run_filtered_pass,
-    run_sampled_pass,
-    run_baseline_pass,
+    Study,
     get_study,
     STUDY_SEED,
     FILTER_NO_INEXACT,
@@ -37,13 +31,7 @@ __all__ = [
     "StudyTarget",
     "make_targets",
     "TARGET_NAMES",
-    "StudyPass",
-    "PassResult",
-    "run_pass",
-    "run_aggregate_pass",
-    "run_filtered_pass",
-    "run_sampled_pass",
-    "run_baseline_pass",
+    "Study",
     "get_study",
     "STUDY_SEED",
     "FILTER_NO_INEXACT",

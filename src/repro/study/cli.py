@@ -2,8 +2,9 @@
 
 Commands
 --------
-``figures``   run the four-pass study and print every table/figure
-              (optionally a subset, optionally written to a directory);
+``figures``   run the study and print every figure's section (the same
+              sections as ``report``; optionally a subset, optionally
+              written to a directory);
               subcommands ``list``/``generate``/``diff``/``serve`` drive
               the offline analytics engine over campaign artifacts
               (``repro.analytics``: Vega-Lite specs + CSVs + HTML index,
@@ -24,33 +25,17 @@ import sys
 
 
 def _cmd_figures(args) -> int:
-    from repro.study import figures as F
-    from repro.study.passes import get_study
+    from repro.study.report import SECTIONS, section
 
-    wanted = set(args.only) if args.only else None
-    needs_study = wanted is None or wanted - {"fig06", "fig08", "fig10"}
-    study = get_study(args.scale, args.seed) if needs_study else None
-
-    producers = {
-        "fig06": lambda: F.fig06_overhead(args.scale, args.seed),
-        "fig07": lambda: F.fig07_inventory(study),
-        "fig08": F.fig08_source_analysis,
-        "fig09": lambda: F.fig09_aggregate(study),
-        "fig10": lambda: F.fig10_parsec(args.scale, args.seed),
-        "fig11": lambda: F.fig11_filtered(study),
-        "fig12": lambda: F.fig12_enzo_nans(study),
-        "fig13": lambda: F.fig13_laghos_bursts(study),
-        "fig14": lambda: F.fig14_sampled(study),
-        "fig15": lambda: F.fig15_inexact_counts(study),
-        "fig16": lambda: F.fig16_cumulative(study),
-        "fig17": lambda: F.fig17_form_rankpop(study),
-        "fig18": lambda: F.fig18_form_histogram(study),
-        "fig19": lambda: F.fig19_addr_rankpop(study),
-    }
-    for ident, produce in producers.items():
-        if wanted is not None and ident not in wanted:
+    unknown = sorted(set(args.only or ()) - set(SECTIONS))
+    if unknown:
+        print(f"unknown figure id(s) {unknown}; choose from "
+              f"{', '.join(SECTIONS)}", file=sys.stderr)
+        return 2
+    for ident in SECTIONS:
+        if args.only and ident not in args.only:
             continue
-        result = produce()
+        result = section(ident, args.scale, args.seed)
         text = f"== {result.ident}: {result.title} ==\n{result.text}\n"
         if args.out:
             import pathlib
@@ -644,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--out", help="write each figure to <out>/<id>.txt")
     fig.set_defaults(fn=_cmd_figures)
 
-    # Analytics-engine subcommands; a bare ``figures`` (no subcommand)
-    # keeps the legacy live-study regeneration above.
+    # Analytics-engine subcommands over campaign artifacts; a bare
+    # ``figures`` (no subcommand) prints the study report's sections.
     figsub = fig.add_subparsers(dest="figures_command")
 
     flist = figsub.add_parser(

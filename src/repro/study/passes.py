@@ -1,12 +1,24 @@
-"""The study passes (paper section 4) and a memoized study runner."""
+"""The study passes (paper section 4) and a memoized study runner.
+
+The study is the builtin ``figures`` campaign
+(:func:`repro.campaign.spec.figures_campaign`) run in-process through
+the campaign's own run executor, so the paper figures render from the
+same merged result a ``campaign.json`` holds.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 from repro.fpspy import fpspy_env
-from repro.study.targets import RunResult, StudyTarget, TARGET_NAMES, make_targets
+from repro.trace.reader import TraceSet
+
+if TYPE_CHECKING:
+    from repro.analytics.generate import AnalyticsContext
+    from repro.analytics.sources import CampaignData
+    from repro.campaign.report import CampaignResult
 
 #: FPE_EXCEPT_LIST for the individual-mode-with-filtering pass:
 #: "every instruction ... that produces a floating point event other
@@ -34,14 +46,6 @@ _VARIANTS = {
 }
 
 
-@dataclass(frozen=True)
-class StudyPass:
-    """One methodology pass: a name and the FPSpy environment it uses."""
-
-    name: str
-    env: dict[str, str]
-
-
 def pass_variant(pass_name: str, target: str) -> str:
     """The problem variant this pass runs ``target`` at (default otherwise).
 
@@ -67,78 +71,46 @@ def pass_env(name: str) -> dict[str, str]:
 
 
 @dataclass
-class PassResult:
-    """All nine targets' results for one pass."""
-
-    name: str
-    results: dict[str, RunResult] = field(default_factory=dict)
-
-    def __getitem__(self, target: str) -> RunResult:
-        return self.results[target]
-
-    def items(self):
-        return self.results.items()
-
-
-def run_pass(
-    name: str,
-    scale: float = 1.0,
-    seed: int = 1234,
-    targets: dict[str, StudyTarget] | None = None,
-    only: tuple[str, ...] | None = None,
-) -> PassResult:
-    """Run one study pass over all (or ``only`` selected) targets."""
-    targets = targets or make_targets()
-    env = pass_env(name)
-    variants = _VARIANTS[name]
-    out = PassResult(name=name)
-    for display in TARGET_NAMES:
-        if only is not None and display not in only:
-            continue
-        target = targets[display]
-        variant = variants.get(display, "default")
-        out.results[display] = target.run(
-            env, scale=scale, variant=variant, seed=seed
-        )
-    return out
-
-
-def run_baseline_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("baseline", scale, seed, **kw)
-
-
-def run_aggregate_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("aggregate", scale, seed, **kw)
-
-
-def run_filtered_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("filtered", scale, seed, **kw)
-
-
-def run_sampled_pass(scale: float = 1.0, seed: int = 1234, **kw) -> PassResult:
-    return run_pass("sampled", scale, seed, **kw)
-
-
-@dataclass
 class Study:
-    """All four passes, plus the per-benchmark PARSEC aggregate runs."""
+    """The ``figures`` campaign run in-process, held in memory.
 
-    scale: float
-    seed: int
-    baseline: PassResult
-    aggregate: PassResult
-    filtered: PassResult
-    sampled: PassResult
+    ``result`` is the merged campaign -- its ``deterministic`` section
+    is exactly what ``campaign.json`` holds -- and ``traces`` keeps each
+    run's trace set, ``traces[mode][target]``, for the figures that
+    need raw timelines campaigns do not persist.
+    """
+
+    result: CampaignResult
+    traces: dict[str, dict[str, TraceSet]]
+
+    @cached_property
+    def campaign(self) -> CampaignData:
+        from repro.analytics.sources import CampaignData
+
+        return CampaignData.from_result(
+            self.result.to_dict(), report_text=self.result.report_text)
+
+    def context(self) -> AnalyticsContext:
+        """The analytics context the registry figures render from."""
+        from repro.analytics.generate import AnalyticsContext
+
+        return AnalyticsContext(campaigns=[self.campaign])
 
 
 @lru_cache(maxsize=4)
 def get_study(scale: float = 1.0, seed: int = 1234) -> Study:
-    """Run (once per configuration) and cache the full study."""
-    return Study(
-        scale=scale,
-        seed=seed,
-        baseline=run_baseline_pass(scale, seed),
-        aggregate=run_aggregate_pass(scale, seed),
-        filtered=run_filtered_pass(scale, seed),
-        sampled=run_sampled_pass(scale, seed),
-    )
+    """Run (once per configuration) and cache the full study: every
+    target under all four passes, i.e. the builtin ``figures`` campaign,
+    executed in this process."""
+    from repro.campaign.report import ResultAccumulator
+    from repro.campaign.spec import figures_campaign
+    from repro.campaign.worker import distill_run, run_spec
+
+    campaign = figures_campaign(scale, seed)
+    acc = ResultAccumulator(campaign)
+    traces: dict[str, dict[str, TraceSet]] = {}
+    for index, spec in enumerate(campaign.runs):
+        run = run_spec(spec)
+        acc.add(distill_run(index, spec, run))
+        traces.setdefault(spec.mode, {})[spec.app] = run.traces
+    return Study(result=acc.merge(), traces=traces)

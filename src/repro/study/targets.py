@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -9,7 +10,7 @@ from repro.apps import APPLICATIONS, ENZO, LAGHOS, LAMMPS
 from repro.apps.base import mpi_launch
 from repro.apps.nas import NASSuite
 from repro.apps.parsec import PARSECSuite
-from repro.kernel.kernel import Kernel
+from repro.kernel.kernel import Kernel, KernelConfig
 from repro.kernel.process import Process
 from repro.trace.reader import TraceSet
 
@@ -21,30 +22,15 @@ class RunResult:
     name: str
     kernel: Kernel
     traces: TraceSet
-    wall_seconds: float
+    wall_seconds: float  #: simulated
     user_seconds: float
     system_seconds: float
+    host_seconds: float  #: host wall-clock cost of launch plus ``Kernel.run``
     processes: list[Process] = field(default_factory=list)
 
     @property
     def any_killed(self) -> bool:
         return any(p.killed_by is not None for p in self.processes)
-
-
-def _collect(name: str, kernel: Kernel) -> RunResult:
-    procs = list(kernel.processes.values())
-    freq = kernel.config.freq_hz
-    user = sum(t.utime_cycles for p in procs for t in p.tasks.values()) / freq
-    system = sum(t.stime_cycles for p in procs for t in p.tasks.values()) / freq
-    return RunResult(
-        name=name,
-        kernel=kernel,
-        traces=TraceSet.from_vfs(kernel.vfs),
-        wall_seconds=kernel.now_seconds,
-        user_seconds=user,
-        system_seconds=system,
-        processes=procs,
-    )
 
 
 @dataclass(frozen=True)
@@ -63,11 +49,27 @@ class StudyTarget:
         scale: float = 1.0,
         variant: str = "default",
         seed: int = 1234,
+        config: KernelConfig | None = None,
     ) -> RunResult:
-        kernel = Kernel()
+        """Launch this target in a fresh kernel and run it to the end."""
+        kernel = Kernel(config)
+        t0 = time.perf_counter()
         self.launch(kernel, env, scale, variant, seed)
         kernel.run()
-        return _collect(self.name, kernel)
+        host_seconds = time.perf_counter() - t0
+        procs = list(kernel.processes.values())
+        tasks = [t for p in procs for t in p.tasks.values()]
+        freq = kernel.config.freq_hz
+        return RunResult(
+            name=self.name,
+            kernel=kernel,
+            traces=TraceSet.from_vfs(kernel.vfs),
+            wall_seconds=kernel.now_seconds,
+            user_seconds=sum(t.utime_cycles for t in tasks) / freq,
+            system_seconds=sum(t.stime_cycles for t in tasks) / freq,
+            host_seconds=host_seconds,
+            processes=procs,
+        )
 
 
 def _process_target(display: str, regname: str) -> StudyTarget:

@@ -6,13 +6,19 @@ headline claims hold.
 
 import pytest
 
-from repro.study import figures as F
+from repro.analytics import all_figures
 from repro.study.passes import get_study
 
 
 @pytest.fixture(scope="module")
 def study():
     return get_study(1.0, 1234)
+
+
+def _rows(name, study):
+    """Registry figure ``name``'s frame rows over the study."""
+    (fdef,) = all_figures(names=[name])
+    return fdef.fn(study.context()).frame.rows
 
 
 EXPECTED_FIG9 = {
@@ -55,75 +61,79 @@ EXPECTED_FIG14 = {
 }
 
 
-def _check(table, expected):
-    for name, want in expected.items():
-        got = {c for c, present in table[name].items() if present}
-        assert got == want, f"{name}: {sorted(got)} != {sorted(want)}"
+def _check(name, study, expected):
+    table: dict[str, set[str]] = {}
+    for row in _rows(name, study):
+        events = table.setdefault(row["code"], set())
+        if row["present"]:
+            events.add(row["event"])
+    for code, want in expected.items():
+        got = table[code]
+        assert got == want, f"{code}: {sorted(got)} != {sorted(want)}"
 
 
 def test_fig9_matches_paper(study):
-    _check(F.fig09_aggregate(study).data["table"], EXPECTED_FIG9)
+    _check("fig09_aggregate", study, EXPECTED_FIG9)
 
 
 def test_fig11_matches_paper(study):
-    _check(F.fig11_filtered(study).data["table"], EXPECTED_FIG11)
+    _check("fig11_filtered", study, EXPECTED_FIG11)
 
 
 def test_fig14_matches_paper(study):
-    _check(F.fig14_sampled(study).data["table"], EXPECTED_FIG14)
+    _check("fig14_sampled", study, EXPECTED_FIG14)
 
 
 def test_wrf_disabled_in_aggregate_but_not_individual(study):
-    agg = study.aggregate["WRF"].traces
+    agg = study.traces["aggregate"]["WRF"]
     assert all(r.disabled for r in agg.aggregate)
-    sampled = study.sampled["WRF"].traces
+    sampled = study.traces["sampled"]["WRF"]
     assert sampled.count() > 0  # events captured before the step-aside
 
 
 def test_no_process_died(study):
-    for pass_result in (study.baseline, study.aggregate, study.filtered,
-                        study.sampled):
-        for name, result in pass_result.items():
-            assert not result.any_killed, f"{pass_result.name}/{name}"
+    runs = study.campaign.runs
+    assert len(runs) == 36  # nine targets under each of the four passes
+    for run in runs:
+        assert run["status"] == "ok" and not run["killed"], run["label"]
 
 
 def test_aggregate_pass_produces_no_individual_traces(study):
-    for name, result in study.aggregate.items():
-        assert result.traces.count() == 0, name
-        assert result.traces.aggregate, name
+    for name, traces in study.traces["aggregate"].items():
+        assert traces.count() == 0, name
+        assert traces.aggregate, name
 
 
 def test_fig15_rate_ordering(study):
-    rows = {r["name"]: r for r in F.fig15_inexact_counts(study).data["rows"]}
-    rate = {n: rows[n]["rate"] for n in rows}
+    rate = {r["name"]: r["rate"] for r in _rows("fig15_inexact_counts", study)}
     assert rate["MOOSE"] > rate["Miniaero"] > rate["LAGHOS"] > rate["ENZO"]
     assert rate["ENZO"] > rate["LAMMPS"] > rate["GROMACS"]
 
 
 def test_fig18_gromacs_exclusive_forms(study):
-    data = F.fig18_form_histogram(study).data
-    assert len(data["gromacs_only"]) == 25
-    assert data["shared_count"] == 39
+    rows = _rows("fig18_form_histogram", study)
+    assert sum(r["gromacs_only"] for r in rows) == 25
+    assert sum(not r["gromacs_only"] for r in rows) == 39
 
 
 def test_fig17_locality(study):
-    stats = F.fig17_form_rankpop(study).data["stats"]
-    assert max(s["n_forms"] for s in stats.values()) < 45
+    rows = _rows("fig17_form_rankpop", study)
+    assert max(r["n_forms"] for r in rows) < 45
 
 
 def test_fig19_locality(study):
-    data = F.fig19_addr_rankpop(study).data
-    assert 0 < data["max_sites"] < 5000
+    rows = _rows("fig19_addr_rankpop", study)
+    assert 0 < max(r["n_addresses"] for r in rows) < 5000
 
 
 def test_sampled_pass_captures_roughly_five_percent(study):
     """Across the whole sampled pass, total capture is in the vicinity of
     the 4.76% duty cycle (wide tolerance: per-app variance is real)."""
     total_sampled = sum(
-        r.traces.count() for _, r in study.sampled.items()
+        t.count() for t in study.traces["sampled"].values()
     )
     total_full = sum(
-        r.traces.count() for _, r in study.filtered.items()
+        t.count() for t in study.traces["filtered"].values()
     )
     # filtered pass has no Inexact records, so compare against the
     # aggregate-scale estimate instead: sampled count must be far below

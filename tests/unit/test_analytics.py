@@ -51,6 +51,51 @@ def test_frame_float_repr_round_trips():
     assert float(cell) == value
 
 
+def test_frame_text_aligns_columns_and_numbers():
+    f = Frame(columns=("name", "count", "rate", "flag"))
+    f.append(name="WRF", count=12, rate=1234.5678, flag=True)
+    f.append(name="MOOSE", count=1234567, rate=None, flag=False)
+    assert f.to_text() == (
+        "name     count     rate  flag\n"
+        "WRF         12  1234.57  T\n"
+        "MOOSE  1234567           f\n")
+    assert Frame(columns=("a", "b")).to_text() == "a  b\n"
+
+
+def test_frame_text_pivots_into_a_grid():
+    f = Frame(columns=("code", "event", "present"))
+    for code in ("LAGHOS", "WRF"):
+        for event in ("Invalid", "Inexact"):
+            f.append(code=code, event=event,
+                     present=(code, event) == ("LAGHOS", "Inexact"))
+    assert f.to_text(("code", "event", "present")) == (
+        "        Invalid  Inexact\n"
+        "LAGHOS  f        T\n"
+        "WRF     f        f\n")
+    # A grid too wide for one line numbers its columns under a legend.
+    wide = Frame(columns=("code", "symbol", "present"))
+    for i in range(12):
+        wide.append(code="x", symbol=f"symbol_{i:02d}", present=i == 3)
+    lines = wide.to_text(("code", "symbol", "present")).splitlines()
+    assert lines[0].startswith("columns: 0=symbol_00, 1=symbol_01")
+    assert lines[1].split() == [str(i) for i in range(12)]
+    assert lines[2].split() == ["x"] + ["T" if i == 3 else "f"
+                                        for i in range(12)]
+
+
+def test_figure_text_pivots_heatmap_specs_only():
+    from repro.analytics.frames import Figure
+    from repro.analytics.vega import heatmap
+
+    f = Frame(columns=("code", "event", "present"))
+    f.append(code="WRF", event="Inexact", present=True)
+    grid = Figure(frame=f, spec=heatmap(
+        f, x="event", y="code", value="present", title="t"))
+    assert grid.to_text() == f.to_text(("code", "event", "present"))
+    plain = Figure(frame=f, spec=bar(f, x="code", y="present", title="t"))
+    assert plain.to_text() == f.to_text()
+
+
 # --------------------------------------------------------------- registry
 
 
@@ -86,7 +131,7 @@ def test_parse_label_splits_app_and_mode():
 
 
 def test_campaign_data_loads_minimal_directory(tmp_path):
-    (tmp_path / "campaign.json").write_text(json.dumps({
+    result = {
         "deterministic": {
             "campaign": "mini", "spec_hash": "abc",
             "runs": [{"label": "WRF/sampled@1#1", "events": ["Inexact"],
@@ -94,8 +139,11 @@ def test_campaign_data_loads_minimal_directory(tmp_path):
             "event_union": ["Inexact"],
         },
         "host": {},
-    }))
+    }
+    (tmp_path / "campaign.json").write_text(json.dumps(result))
     camp = CampaignData.load(tmp_path)
+    # The in-memory constructor is the loader minus the file reads.
+    assert CampaignData.from_result(result, path=str(tmp_path)) == camp
     assert camp.name == "mini" and camp.spec_hash == "abc"
     assert camp.apps_by_mode("sampled") == {
         "WRF": [{"label": "WRF/sampled@1#1", "events": ["Inexact"],

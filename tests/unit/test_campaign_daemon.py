@@ -293,6 +293,52 @@ def test_http_post_rejects_non_object_json(http_daemon, body):
     assert _request(url, "/stats")["counters"]["submitted"] == 0
 
 
+@pytest.mark.parametrize("campaign", [
+    {"name": "x", "runs": 5},
+    {"builtin": ["x"]},
+    {"builtin": "smoke", "scale": "big"},
+    {"builtin": "smoke", "workers": 2},
+    {"name": "x", "runs": [{"app": "Miniaero", "bogus": 1}]},
+    {"name": "x", "runs": [3]},
+    {"name": "x", "runs": ["Miniaero"]},
+    {"runs": [{"app": "NoSuch"}]},
+    {"name": "x", "runs": [{"app": "NoSuch"}]},
+    {"name": "x", "runs": [{"app": "Miniaero", "mode": "nosuch"}]},
+    {"name": "x", "runs": [{"app": "Miniaero", "scale": "0.1"}]},
+    '{"name": "x", "runs": [{"app": "NoSuch"}]}',
+], ids=repr)
+def test_http_submit_refuses_malformed_campaign(http_daemon, campaign):
+    """Wrong types, unknown keys and unknown apps or passes are 400 at
+    submit -- never a dropped connection, never queued to fail later."""
+    daemon, _server, url = http_daemon
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _request(url, "/submit", {"campaign": campaign})
+    assert exc.value.code == 400
+    assert daemon.counters["submitted"] == 0
+    assert _request(url, "/stats")["counters"]["submitted"] == 0
+
+
+def test_http_builtin_never_resolves_a_host_path(http_daemon, tmp_path):
+    """``builtin`` names only builtin campaigns: a path to a valid spec
+    file on the daemon's host is refused, not read."""
+    daemon, _server, url = http_daemon
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(TINY.to_json())
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _request(url, "/submit", {"campaign": {"builtin": str(spec_file)}})
+    assert exc.value.code == 400
+    assert daemon.counters["submitted"] == 0
+
+
+def test_http_submit_refuses_non_string_submitter(http_daemon):
+    daemon, _server, url = http_daemon
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        _request(url, "/submit", {"campaign": {"builtin": "smoke"},
+                                  "submitter": ["a"]})
+    assert exc.value.code == 400
+    assert daemon.counters["submitted"] == 0
+
+
 def test_http_artifact_rejects_path_escapes(http_daemon):
     """/artifact must 404 anything that is not a sha256 digest -- an
     absolute path or ../ sequence must never escape the store root."""

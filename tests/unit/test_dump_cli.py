@@ -75,6 +75,10 @@ class TestCLI:
         ) == 0
         assert (tmp_path / "fig08.txt").exists()
 
+    def test_figures_unknown_id_exits_2(self, capsys):
+        assert cli_main(["figures", "--only", "fig08", "fig6"]) == 2
+        assert "fig6" in capsys.readouterr().err
+
     def test_spy_unknown_app(self, capsys):
         assert cli_main(["spy", "nonexistent"]) == 2
 
